@@ -1,109 +1,17 @@
-"""Performance tracking: ``repro-bench perf``.
+"""Host provenance for run records.
 
-Measures the simulator's own speed — the numbers the bench suite
-guards — and appends them to a dated JSON record so the repository
-accumulates a performance trajectory that future PRs can be judged
-against:
-
-* **events/sec** through ``Machine.run_trace`` (the replay hot loop,
-  same trace shape as ``test_trace_replay_throughput``);
-* **txns/sec** end-to-end through the leanest engine (HyPer executing
-  single-row reads, same as ``test_engine_transaction_throughput``);
-* **wall-clock** for a quick figure sweep, honouring ``--jobs`` so the
-  parallel runner's turnaround is part of the record.
-
-Records live in ``benchmarks/records/BENCH_<date>.json`` (a JSON list;
-same-day runs append).  ``--check`` compares the fresh events/sec
-against the best previously recorded value and fails on a >30 %
-regression — the CI gate for the replay fast path.
+Every record the run store keeps (and every perfbench result) carries
+who/where/what produced it, so runs are attributable to a commit and a
+machine.  Simulator speed itself is measured by ``perfbench/`` (see
+``perfbench/README.md`` and ``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
 from pathlib import Path
-
-from repro.util.clock import perf_timer, timestamp, today
-from repro.util.rng import root_rng
-
-DEFAULT_RECORDS_DIR = Path("benchmarks") / "records"
-REGRESSION_TOLERANCE = 0.30
-"""Fail ``--check`` when events/sec drops by more than this fraction."""
-
-QUICK_SWEEP_FIGURES = ["fig13"]
-FULL_SWEEP_FIGURES = ["fig1", "fig9", "fig13"]
-
-
-def bench_replay_events_per_sec(*, min_seconds: float = 0.5) -> dict:
-    """Events/second through Machine.run_trace (the replay hot loop)."""
-    from repro.core.machine import Machine
-    from repro.core.trace import AccessTrace
-
-    machine = Machine()
-    rng = root_rng(0, "perf-replay")
-    trace = AccessTrace()
-    trace.ifetch_run(4096, 3000, module=0)
-    for _ in range(500):
-        trace.load(10**8 + rng.randrange(10**6), 0, serial=True)
-    trace.retire(0, 48_000, base_cycles=20_000)
-    events = len(trace)
-
-    # Warm the caches to steady state before timing.
-    for _ in range(5):
-        machine.run_trace(trace)
-    rounds = 0
-    best = float("inf")
-    started = perf_timer()
-    while perf_timer() - started < min_seconds:
-        t0 = perf_timer()
-        machine.run_trace(trace)
-        elapsed = perf_timer() - t0
-        best = min(best, elapsed)
-        rounds += 1
-    return {
-        "events_per_round": events,
-        "rounds": rounds,
-        "best_round_s": best,
-        "events_per_sec": events / best if best > 0 else 0.0,
-    }
-
-
-def bench_engine_txns_per_sec(*, n_txns: int = 3000) -> dict:
-    """End-to-end transactions/second for the leanest engine (HyPer)."""
-    from repro.engines.common import TableSpec
-    from repro.engines.config import EngineConfig
-    from repro.engines.registry import make_engine
-    from repro.storage.record import microbench_schema
-
-    engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
-    engine.create_table(TableSpec("t", microbench_schema(), 10**9))
-    rng = root_rng(2, "perf-engine")
-    for _ in range(50):
-        engine.execute("p", lambda txn: txn.read("t", rng.randrange(10**9)))
-    started = perf_timer()
-    for _ in range(n_txns):
-        key = rng.randrange(10**9)
-        engine.execute("p", lambda txn: txn.read("t", key))
-    elapsed = perf_timer() - started
-    return {
-        "txns": n_txns,
-        "wall_s": elapsed,
-        "txns_per_sec": n_txns / elapsed if elapsed > 0 else 0.0,
-    }
-
-
-def bench_figure_sweep(figures: list[str], *, jobs: int | None = None) -> dict:
-    """Wall-clock for regenerating *figures* with --quick budgets."""
-    from repro.bench.figures import run_figure
-
-    started = perf_timer()
-    for figure_id in figures:
-        run_figure(figure_id, quick=True, jobs=jobs)
-    elapsed = perf_timer() - started
-    return {"figures": figures, "jobs": jobs or 1, "wall_s": elapsed}
 
 
 def _git_sha() -> str | None:
@@ -123,8 +31,8 @@ def _git_sha() -> str | None:
 
 
 def provenance() -> dict:
-    """Who/where/what produced a record, so BENCH trajectories are
-    attributable (same-machine comparisons only, commit lookup)."""
+    """Who/where/what produced a record, so stored runs are attributable
+    (same-machine comparisons only, commit lookup)."""
     return {
         "git_sha": _git_sha(),
         "python": platform.python_version(),
@@ -132,134 +40,3 @@ def provenance() -> dict:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
     }
-
-
-def collect_record(*, quick: bool = False, jobs: int | None = None) -> dict:
-    """Run every perf bench and assemble one dated record."""
-    replay = bench_replay_events_per_sec(min_seconds=0.25 if quick else 0.5)
-    engine = bench_engine_txns_per_sec(n_txns=1000 if quick else 3000)
-    sweep = bench_figure_sweep(
-        QUICK_SWEEP_FIGURES if quick else FULL_SWEEP_FIGURES, jobs=jobs
-    )
-    return {
-        "date": today(),
-        "timestamp": timestamp(),
-        "quick": quick,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "provenance": provenance(),
-        "replay": replay,
-        "engine": engine,
-        "figure_sweep": sweep,
-    }
-
-
-def load_records(records_dir: Path) -> list[dict]:
-    """Every record across all BENCH_*.json files, oldest file first."""
-    records: list[dict] = []
-    if not records_dir.is_dir():
-        return records
-    for path in sorted(records_dir.glob("BENCH_*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(data, list):
-            records.extend(r for r in data if isinstance(r, dict))
-        elif isinstance(data, dict):
-            records.append(data)
-    return records
-
-
-def baseline_events_per_sec(records: list[dict]) -> float | None:
-    """The best previously recorded replay throughput (the CI baseline)."""
-    values = [
-        r.get("replay", {}).get("events_per_sec")
-        for r in records
-    ]
-    values = [v for v in values if isinstance(v, (int, float)) and v > 0]
-    return max(values) if values else None
-
-
-def append_record(record: dict, records_dir: Path) -> Path:
-    """Append *record* to today's BENCH_<date>.json (creating it)."""
-    records_dir.mkdir(parents=True, exist_ok=True)
-    path = records_dir / f"BENCH_{record['date']}.json"
-    existing: list[dict] = []
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-            existing = data if isinstance(data, list) else [data]
-        except (OSError, json.JSONDecodeError):
-            existing = []
-    existing.append(record)
-    path.write_text(json.dumps(existing, indent=2) + "\n")
-    return path
-
-
-def render_record(record: dict, *, baseline: float | None = None) -> str:
-    lines = [
-        "perf record",
-        f"  replay     : {record['replay']['events_per_sec']:,.0f} events/sec "
-        f"({record['replay']['events_per_round']} events/round, "
-        f"{record['replay']['rounds']} rounds)",
-        f"  engine     : {record['engine']['txns_per_sec']:,.0f} txns/sec "
-        f"({record['engine']['txns']} txns)",
-        f"  fig sweep  : {record['figure_sweep']['wall_s']:.1f}s "
-        f"({', '.join(record['figure_sweep']['figures'])}, "
-        f"jobs={record['figure_sweep']['jobs']}, --quick)",
-    ]
-    if baseline is not None:
-        current = record["replay"]["events_per_sec"]
-        delta = (current - baseline) / baseline
-        lines.append(f"  vs baseline: {delta:+.1%} events/sec (best prior {baseline:,.0f})")
-    return "\n".join(lines)
-
-
-def run_perf(
-    *,
-    quick: bool = False,
-    jobs: int | None = None,
-    records_dir: Path = DEFAULT_RECORDS_DIR,
-    check: bool = False,
-    save: bool = True,
-    store_dir: Path | None = None,
-) -> tuple[str, bool]:
-    """Run the perf suite; returns (report text, ok).
-
-    *ok* is False only when *check* is set and the fresh events/sec
-    regressed more than :data:`REGRESSION_TOLERANCE` below the best
-    previously committed record.  When *save* is set the record lands
-    both in the legacy BENCH_<date>.json blob (old readers keep
-    working) and as a ``bench`` run in :mod:`repro.store`.
-    """
-    baseline = baseline_events_per_sec(load_records(records_dir))
-    record = collect_record(quick=quick, jobs=jobs)
-    lines = [render_record(record, baseline=baseline)]
-    if save:
-        path = append_record(record, records_dir)
-        lines.append(f"  recorded   : {path}")
-        from repro.store import RunStore, bench_run
-
-        # The store sits beside the records dir, so a caller that
-        # redirects records (tests, CI sandboxes) never writes into the
-        # repo's benchmarks/store/.
-        store = RunStore(store_dir or Path(records_dir).parent / "store")
-        run_id = store.put(bench_run(record))
-        lines.append(f"  store      : {run_id}")
-    ok = True
-    if check and baseline is not None:
-        floor = baseline * (1.0 - REGRESSION_TOLERANCE)
-        current = record["replay"]["events_per_sec"]
-        if current < floor:
-            ok = False
-            lines.append(
-                f"  REGRESSION : {current:,.0f} events/sec is below the "
-                f"{1.0 - REGRESSION_TOLERANCE:.0%} floor of the best prior "
-                f"record ({floor:,.0f})"
-            )
-        else:
-            lines.append("  check      : within tolerance")
-    elif check:
-        lines.append("  check      : no prior records, nothing to compare against")
-    return "\n".join(lines), ok

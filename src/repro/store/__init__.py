@@ -1,17 +1,19 @@
 """Persistent run store, comparison engine & dashboard — ``repro.store``.
 
-Every benchmark producer (``repro-bench perf`` / ``load`` / ``chaos`` /
-figure runs) can persist its outcome as a **run**: a per-run directory
-under ``benchmarks/store/`` holding the full spec, host provenance, the
+Every benchmark producer (``repro-bench load`` / ``chaos`` / figure
+runs) persists its outcome as a **run**: a per-run directory under
+``benchmarks/store/`` holding the full spec, host provenance, the
 result payload, invariant verdicts, optional obs metrics, and a
 deterministic content fingerprint.  The store is append-only: runs are
 written once and never mutated, so the directory accumulates the
-repository's complete measurement history.
+repository's complete measurement history.  It is the only place runs
+are written, and the only place the ``load --check`` gate looks up its
+baseline.
 
 On top of the store sit a comparison engine (``repro-bench diff`` /
-``history`` — perf deltas, figure drift, chaos-verdict changes,
-latency-percentile regressions with explicit thresholds) and a
-stdlib-only HTTP API + single-page dashboard (``repro-bench serve``).
+``history`` — figure drift, chaos-verdict changes, latency-percentile
+regressions with explicit thresholds) and a stdlib-only HTTP API +
+single-page dashboard (``repro-bench serve``).
 
 The fingerprint contract (see :mod:`repro.store.fingerprint`): volatile
 fields — wall-clock timestamps, host provenance, self-measured rates —
@@ -26,7 +28,6 @@ from __future__ import annotations
 from repro.store.compare import (
     FIGURE_DRIFT_TOLERANCE,
     P999_REGRESSION_TOLERANCE,
-    PERF_REGRESSION_TOLERANCE,
     DiffEntry,
     RunDiff,
     check_load_regression,
@@ -38,16 +39,13 @@ from repro.store.compare import (
 )
 from repro.store.fingerprint import VOLATILE_KEYS, canonical, fingerprint
 from repro.store.fsdb import DEFAULT_STORE_DIR, RunStore
-from repro.store.migrate import migrate_records
 from repro.store.schema import (
-    BENCH,
     CHAOS,
     FIGURE,
     KINDS,
     LOAD,
     SCHEMA_VERSION,
     RunRecord,
-    bench_run,
     chaos_run,
     figure_run,
     load_run,
@@ -55,7 +53,6 @@ from repro.store.schema import (
 )
 
 __all__ = [
-    "BENCH",
     "CHAOS",
     "DEFAULT_STORE_DIR",
     "DiffEntry",
@@ -64,13 +61,11 @@ __all__ = [
     "KINDS",
     "LOAD",
     "P999_REGRESSION_TOLERANCE",
-    "PERF_REGRESSION_TOLERANCE",
     "RunDiff",
     "RunRecord",
     "RunStore",
     "SCHEMA_VERSION",
     "VOLATILE_KEYS",
-    "bench_run",
     "canonical",
     "chaos_run",
     "check_load_regression",
@@ -80,7 +75,6 @@ __all__ = [
     "fingerprint",
     "load_run",
     "metric_history",
-    "migrate_records",
     "render_diff",
     "render_history",
     "summarize",

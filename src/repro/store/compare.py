@@ -2,9 +2,6 @@
 
 Every comparison states its threshold explicitly:
 
-* **perf** (``bench`` vs ``bench``) — events/sec and txns/sec deltas;
-  a drop beyond :data:`PERF_REGRESSION_TOLERANCE` is flagged (the same
-  30 % the ``repro-bench perf --check`` CI gate uses).
 * **latency** (``load`` vs ``load``) — per-multiplier p50/p99/p999 and
   achieved-throughput deltas; a p999 increase beyond
   :data:`P999_REGRESSION_TOLERANCE` is flagged (the ``load --check``
@@ -24,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.store.fsdb import RunStore
-from repro.store.schema import BENCH, CHAOS, FIGURE, LOAD, RunRecord
-
-PERF_REGRESSION_TOLERANCE = 0.30
-"""Flag a bench diff when events/sec drops by more than this fraction."""
+from repro.store.schema import CHAOS, FIGURE, LOAD, RunRecord
 
 P999_REGRESSION_TOLERANCE = 0.30
 """Flag a load diff when p999 grows by more than this fraction."""
@@ -110,31 +104,6 @@ class RunDiff:
 
 
 # -- kind-specific comparisons ------------------------------------------------
-
-
-def _bench_entries(a: RunRecord, b: RunRecord) -> list[DiffEntry]:
-    entries = []
-    for metric, path in (
-        ("replay.events_per_sec", ("replay", "events_per_sec")),
-        ("engine.txns_per_sec", ("engine", "txns_per_sec")),
-        ("figure_sweep.wall_s", ("figure_sweep", "wall_s")),
-    ):
-        va = _dig(a.payload, path)
-        vb = _dig(b.payload, path)
-        flag = ""
-        if (
-            metric != "figure_sweep.wall_s"
-            and isinstance(va, (int, float))
-            and isinstance(vb, (int, float))
-            and va > 0
-            and (vb - va) / va < -PERF_REGRESSION_TOLERANCE
-        ):
-            flag = (
-                f"perf-regression:{metric} dropped "
-                f"{(va - vb) / va:.0%} (> {PERF_REGRESSION_TOLERANCE:.0%})"
-            )
-        entries.append(DiffEntry(metric, _num(va), _num(vb), flag))
-    return entries
 
 
 _LOAD_POINT_METRICS = ("achieved_tps", "p50_us", "p99_us", "p999_us")
@@ -294,9 +263,7 @@ def diff_runs(a: RunRecord, b: RunRecord) -> RunDiff:
         )
     entries: list[DiffEntry] = []
     verdict_changes: tuple[str, ...] = ()
-    if a.kind == BENCH:
-        entries = _bench_entries(a, b)
-    elif a.kind == LOAD:
+    if a.kind == LOAD:
         entries = _load_entries(a, b)
     elif a.kind == FIGURE:
         entries = _figure_entries(a, b)
@@ -346,8 +313,6 @@ def render_diff(diff: RunDiff) -> str:
 # -- metric histories ---------------------------------------------------------
 
 METRICS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "events_per_sec": (BENCH, ("replay", "events_per_sec")),
-    "txns_per_sec": (BENCH, ("engine", "txns_per_sec")),
     "capacity_tps": (LOAD, ("capacity_tps",)),
     "p50_us": (LOAD, ("@x1", "p50_us")),
     "p99_us": (LOAD, ("@x1", "p99_us")),

@@ -3,7 +3,7 @@
 One self-contained HTML document (no external assets, no CDN): vanilla
 JS fetches the JSON API (``/runs``, ``/history/<metric>``,
 ``/diff/<a>/<b>``) and renders stat tiles, inline-SVG sparklines of the
-BENCH/LOAD trajectories, the run table, and a two-run diff panel.
+load trajectories, the run table, and a two-run diff panel.
 Colors follow a small role-based token set with selected light and
 dark values; series identity uses one categorical hue (single-series
 sparklines need no legend), and pass/fail wears the reserved status
@@ -90,8 +90,8 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 </head>
 <body>
 <h1>repro run store</h1>
-<p class="sub">append-only benchmark history &mdash; BENCH / LOAD / chaos /
-figure runs with provenance and deterministic fingerprints</p>
+<p class="sub">append-only benchmark history &mdash; load / chaos / figure
+runs with provenance and deterministic fingerprints</p>
 <div class="tiles" id="tiles"></div>
 <div class="cards" id="cards"></div>
 <h2 style="font-size:15px">runs</h2>
@@ -181,7 +181,7 @@ async function main() {
   const counts = {};
   runs.forEach(m => { counts[m.kind] = (counts[m.kind] || 0) + 1; });
   document.getElementById("tiles").innerHTML =
-    ["bench", "load", "chaos", "figure"].map(kind =>
+    ["load", "chaos", "figure"].map(kind =>
       `<div class="tile"><div class="n">${counts[kind] || 0}</div>` +
       `<div class="k">${kind} runs</div></div>`).join("");
   const tbody = document.querySelector("#runs tbody");
@@ -197,9 +197,8 @@ async function main() {
   });
   const cards = document.getElementById("cards");
   const charts = [
-    ["events_per_sec", "replay throughput", "events/sec (BENCH trajectory)"],
-    ["capacity_tps", "load capacity", "probed tps (LOAD trajectory)"],
-    ["p999_us", "tail latency", "p999 us at x1 offered load (LOAD trajectory)"],
+    ["capacity_tps", "load capacity", "probed tps (load trajectory)"],
+    ["p999_us", "tail latency", "p999 us at x1 offered load (load trajectory)"],
   ];
   for (const [metric, title, meta] of charts) {
     try {

@@ -154,8 +154,8 @@ class RunStore:
         return _load(meta_path)
 
     def has_fingerprint(self, kind: str, created: str, fp: str) -> bool:
-        """Dedup key for idempotent migration: same kind + origin
-        timestamp + content fingerprint means the run is already here."""
+        """Dedup key: same kind + origin timestamp + content fingerprint
+        means the run is already here."""
         for meta in self.list_runs(kind):
             if meta.get("created") == created and meta.get("fingerprint") == fp:
                 return True

@@ -1,9 +1,8 @@
 """Run-record schema: what one persisted run is made of.
 
 A :class:`RunRecord` is the unit the store writes and the comparison
-engine reads.  Four record kinds cover today's producers:
+engine reads.  Three record kinds cover today's producers:
 
-* ``bench``  — ``repro-bench perf`` (simulator self-measurement);
 * ``load``   — ``repro-bench load`` (open-loop saturation sweeps);
 * ``chaos``  — ``repro-bench chaos`` (fault-injection verdicts);
 * ``figure`` — figure regenerations (the paper's tables/plots).
@@ -15,9 +14,8 @@ was asked for), ``provenance`` (who/where produced it), ``payload``
 computed over kind + spec + payload + verdicts + metrics with volatile
 fields excluded (see :mod:`repro.store.fingerprint`).
 
-Converters from the existing producers' dict shapes (``BENCH_*.json``
-records, ``LOAD_*.json`` records, chaos suite cells, figure panels)
-live here so every write path and the migration tool agree on one
+Converters from the producers' shapes (load records, chaos suite
+cells, figure panels) live here so every write path agrees on one
 layout.
 """
 
@@ -30,11 +28,10 @@ from repro.store.fingerprint import fingerprint
 
 SCHEMA_VERSION = 1
 
-BENCH = "bench"
 LOAD = "load"
 CHAOS = "chaos"
 FIGURE = "figure"
-KINDS = (BENCH, LOAD, CHAOS, FIGURE)
+KINDS = (LOAD, CHAOS, FIGURE)
 
 _DIGEST_RE = re.compile(r"digest (\d+)")
 
@@ -74,28 +71,8 @@ class RunRecord:
 # -- converters from producer shapes -----------------------------------------
 
 
-def bench_run(record: dict) -> RunRecord:
-    """A ``bench`` run from one ``BENCH_<date>.json`` record dict."""
-    spec = {
-        "quick": record.get("quick", False),
-        "figures": list(record.get("figure_sweep", {}).get("figures", [])),
-    }
-    payload = {
-        "replay": dict(record.get("replay", {})),
-        "engine": dict(record.get("engine", {})),
-        "figure_sweep": dict(record.get("figure_sweep", {})),
-    }
-    return RunRecord(
-        kind=BENCH,
-        spec=spec,
-        provenance=dict(record.get("provenance", {})),
-        payload=payload,
-        created=record.get("timestamp", ""),
-    )
-
-
 def load_run(record: dict) -> RunRecord:
-    """A ``load`` run from one ``LOAD_<date>.json`` record dict.
+    """A ``load`` run from one :func:`repro.load.report.load_record` dict.
 
     Chaos sweeps (points carrying a ``chaos`` block) lift their
     degraded-mode verdicts into ``RunRecord.verdicts`` so the store's
@@ -235,13 +212,6 @@ def figure_run(panels, *, quick: bool = False, created: str = "",
 
 def summarize(record: RunRecord) -> dict:
     """The headline numbers a run listing shows (kind-specific)."""
-    if record.kind == BENCH:
-        replay = record.payload.get("replay", {})
-        engine = record.payload.get("engine", {})
-        return {
-            "events_per_sec": replay.get("events_per_sec"),
-            "txns_per_sec": engine.get("txns_per_sec"),
-        }
     if record.kind == LOAD:
         spec = record.spec
         points = record.payload.get("points", [])

@@ -4,17 +4,16 @@ Simulation results must be a pure function of the seed: wall-clock
 reads anywhere in a sim path are a determinism bug, and
 ``repro-lint``'s *wall-clock* rule flags every ``time.*`` /
 ``datetime.now`` reference outside this module.  Code with a
-legitimate need — display timing on the CLI, the perf harness timing
-itself, the tracer's monotonic clock, dated perf records — imports the
-helper that names its purpose:
+legitimate need — display timing on the CLI, the tracer's monotonic
+clock, dated run records — imports the helper that names its purpose:
 
 * :func:`wall_timer` — wall-clock seconds for *display* timing (how
   long a figure took to regenerate).  Never feed this into a result.
 * :func:`perf_timer` / :func:`perf_timer_ns` — monotonic
-  self-measurement (the perf suite measuring the simulator, the span
-  tracer's timestamps).  Timing the simulator is not simulating.
-* :func:`today` / :func:`timestamp` — dates for ``BENCH_<date>.json``
-  record naming and provenance.
+  self-measurement (the span tracer's timestamps).  Timing the
+  simulator is not simulating.
+* :func:`today` / :func:`timestamp` — dates and creation stamps for
+  run-store records.
 
 The helpers are trivial on purpose: the value of the module is the
 chokepoint, not the code.  Grep for callers to audit every place the

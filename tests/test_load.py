@@ -27,7 +27,6 @@ from repro.load import (
 )
 from repro.load.driver import probe_capacity, run_load_point
 from repro.load.report import (
-    append_load_record,
     load_record,
     per_op_rows,
     render_load_report,
@@ -35,6 +34,7 @@ from repro.load.report import (
 )
 from repro.load.scenarios import INSERT, Mix, choose_op, pick_key
 from repro.obs import Histogram, nearest_rank
+from repro.store import RunStore, load_run
 from repro.util.rng import child_rng
 
 MIX = MIXES["read-write"]
@@ -394,12 +394,11 @@ class TestLoadReport:
         record = load_record(result)
         assert record["points"] == saturation_rows(result)
         assert record["spec"]["clients"] == 1000
-        path = append_load_record(record, tmp_path)
-        assert path.name.startswith("LOAD_")
-        data = json.loads(path.read_text())
-        assert isinstance(data, list) and len(data) == 1
-        append_load_record(record, tmp_path)
-        assert len(json.loads(path.read_text())) == 2
+        store = RunStore(tmp_path)
+        stored = store.get(store.put(load_run(record)))
+        assert stored.payload["points"] == json.loads(json.dumps(record["points"]))
+        assert stored.spec["clients"] == 1000
+        assert stored.fingerprint() == load_run(record).fingerprint()
 
     def test_per_op_breakdown_partitions_latencies(self):
         point = run_load(quick_spec(multipliers=(1.0,))).points[0]

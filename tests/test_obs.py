@@ -474,44 +474,47 @@ class TestPerfProvenance:
 
 
 class TestReplayOverhead:
-    def test_disabled_tracing_overhead_under_five_percent(self):
-        """The acceptance gate: <5% on the replay hot loop when off.
+    def test_disabled_tracer_stays_one_null_check(self, monkeypatch):
+        """The disabled tracer stays one null-check on the replay hot loop.
 
-        Compares the instrumented Machine.run_trace against itself (the
-        pre-instrumentation baseline is gone), so what this actually
-        guards is that the disabled path stays one null-check — the two
-        timings must be statistically indistinguishable; 5% is slack
-        for timer noise.
+        With obs off, ``Machine.run_trace`` must make no ``Tracer`` call,
+        ``obs.span`` must hand back the shared ``NOOP_SPAN``, and nothing
+        on either path may allocate in ``repro/obs/tracing.py``.  This is
+        deterministic; the wall-clock side (enabled vs disabled replay)
+        is measured by perfbench's ``trace.overhead_ratio``.
         """
-        import time
+        import tracemalloc
 
         from repro.core.machine import Machine
         from repro.core.trace import AccessTrace
+        from repro.obs import tracing
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Tracer called while obs is disabled")
+
+        for name in ("clock", "complete", "span"):
+            monkeypatch.setattr(Tracer, name, forbidden, raising=False)
 
         machine = Machine()
         trace = AccessTrace()
         trace.ifetch_run(4096, 2000, module=0)
         trace.retire(0, 32_000, base_cycles=12_000)
-
-        def best_of(n=7, rounds=40):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                for _ in range(rounds):
-                    machine.run_trace(trace)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        best_of(n=2)  # warm caches and code paths
         assert not obs.enabled()
-        disabled = best_of()
-        with obs.using_obs(True) as tracer:
-            enabled = best_of()
-            tracer.events.clear()
-        # Not an assertion on `enabled` — tracing may cost more; the
-        # gate is that the *disabled* path didn't regress vs itself.
-        second_disabled = best_of()
-        slower = max(disabled, second_disabled)
-        faster = min(disabled, second_disabled)
-        assert slower / faster < 1.25  # same code path, noise only
-        assert enabled > 0  # tracing ran and recorded
+        machine.run_trace(trace)  # warm code paths before measuring
+        obs.span("warm", track="harness")
+
+        only_tracing = [tracemalloc.Filter(True, tracing.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_tracing)
+            for _ in range(5):
+                machine.run_trace(trace)
+            spans = [obs.span("replay", track="core0", cat="core") for _ in range(500)]
+            after = tracemalloc.take_snapshot().filter_traces(only_tracing)
+        finally:
+            tracemalloc.stop()
+        assert all(span is NOOP_SPAN for span in spans)
+        grown = [
+            stat for stat in after.compare_to(before, "lineno") if stat.count_diff > 0
+        ]
+        assert grown == []

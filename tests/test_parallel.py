@@ -214,18 +214,12 @@ class TestCLISubcommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_perf_quick_writes_record(self, tmp_path, capsys):
+    def test_perf_subcommand_removed(self, capsys):
         from repro.bench.cli import main
 
-        records_dir = tmp_path / "records"
-        assert main(["perf", "--quick", "--records-dir", str(records_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "events/sec" in out
-        records = list(records_dir.glob("BENCH_*.json"))
-        assert len(records) == 1
-        # The store run rides beside the redirected records dir — never
-        # in the repo's benchmarks/store/.
-        assert list((tmp_path / "store").glob("bench-*/meta.json"))
+        # Simulator speed is measured by perfbench/, not a subcommand.
+        assert main(["perf"]) == 2
+        assert "unknown figure 'perf'" in capsys.readouterr().err
 
     def test_jobs_flag_accepted_for_figures(self, capsys):
         from repro.bench.cli import main

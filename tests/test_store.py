@@ -1,11 +1,11 @@
-"""Run-store tests: fingerprints, round-trips, diffs, migration, API.
+"""Run-store tests: fingerprints, round-trips, diffs, baselines, API.
 
 The store's core promise is the fingerprint contract: two same-seed
 runs fingerprint identically no matter the execution plan (serial vs
 ``--jobs N``), the process (PYTHONHASHSEED), or when they ran — and
 ``diff`` on such runs reports zero drift.  The comparison engine's
-thresholds are pinned against synthetic regressions so the CI gates
-(``perf --check``, ``load --check``) fail exactly when they should.
+thresholds are pinned against synthetic regressions so the
+``load --check`` CI gate fails exactly when it should.
 """
 
 import json
@@ -18,24 +18,23 @@ from pathlib import Path
 import pytest
 
 from repro.load import ArrivalSpec, LoadSpec, run_load
-from repro.load.report import load_record, read_load_records
+from repro.load.report import load_record
 from repro.store import (
-    BENCH,
     CHAOS,
+    FIGURE,
     LOAD,
     P999_REGRESSION_TOLERANCE,
     RunRecord,
     RunStore,
-    bench_run,
     canonical,
     chaos_run,
     check_load_regression,
     diff_runs,
     figure_run,
+    find_load_baseline,
     fingerprint,
     load_run,
     metric_history,
-    migrate_records,
     render_diff,
     render_history,
 )
@@ -55,22 +54,23 @@ def tiny_load_spec(**kw) -> LoadSpec:
     return LoadSpec(**base)
 
 
-def bench_record(events_per_sec=1_000_000.0, txns_per_sec=20_000.0, ts="2026-08-01T00:00:00"):
-    """A synthetic legacy BENCH record (the shape perf.py appends)."""
-    return {
-        "date": ts[:10],
-        "timestamp": ts,
-        "quick": True,
-        "provenance": {"git_sha": "deadbeef", "python": "3.12.0"},
-        "replay": {
-            "events_per_round": 3500,
-            "rounds": 10,
-            "best_round_s": 0.003,
-            "events_per_sec": events_per_sec,
+def synthetic_figure_run(value=100.0, ts=""):
+    """A one-cell ``figure`` run (the shape figure_run persists)."""
+    return RunRecord(
+        kind=FIGURE,
+        spec={"figures": ["fig1"], "quick": True},
+        provenance={},
+        payload={
+            "panels": [
+                {
+                    "figure_id": "fig1", "title": "t", "metric": "m",
+                    "x_label": "x", "x_values": [1], "systems": ["hyper"],
+                    "cells": [{"system": "hyper", "x": 1, "value": value}],
+                }
+            ]
         },
-        "engine": {"txns": 1000, "wall_s": 0.05, "txns_per_sec": txns_per_sec},
-        "figure_sweep": {"figures": ["fig13"], "jobs": 1, "wall_s": 1.0},
-    }
+        created=ts,
+    )
 
 
 def synthetic_load_record(p999=1000.0, ts="2026-08-01T00:00:00", seed=42):
@@ -174,12 +174,12 @@ class TestRunStore:
         store = RunStore(tmp_path)
         ids = [
             store.put(load_run(synthetic_load_record(ts="2026-08-02T00:00:00"))),
-            store.put(bench_run(bench_record(ts="2026-08-01T00:00:00"))),
+            store.put(synthetic_figure_run(ts="2026-08-01T00:00:00")),
             store.put(load_run(synthetic_load_record(ts="2026-08-02T09:00:00"))),
         ]
         listed = store.run_ids()
         assert set(listed) == set(ids)
-        assert listed[0].startswith("bench-2026-08-01")
+        assert listed[0].startswith("figure-2026-08-01")
         assert listed.index(ids[0]) < listed.index(ids[2])
 
     def test_every_section_lands_as_json(self, tmp_path):
@@ -216,7 +216,7 @@ class TestRunStore:
         assert not store.has_fingerprint(
             LOAD, "2030-01-01T00:00:00", record.fingerprint()
         )
-        assert not store.has_fingerprint(BENCH, record.created, record.fingerprint())
+        assert not store.has_fingerprint(FIGURE, record.created, record.fingerprint())
 
 
 class TestSameSeedFingerprints:
@@ -236,24 +236,6 @@ class TestSameSeedFingerprints:
 
 
 class TestDiffEngine:
-    def test_bench_perf_regression_flagged(self):
-        a = bench_run(bench_record(events_per_sec=1_000_000.0))
-        b = bench_run(bench_record(events_per_sec=600_000.0))
-        diff = diff_runs(a, b)
-        assert not diff.ok
-        assert any("perf-regression" in flag for flag in diff.regressions)
-
-    def test_bench_within_tolerance_passes(self):
-        a = bench_run(bench_record(events_per_sec=1_000_000.0))
-        b = bench_run(bench_record(events_per_sec=800_000.0))
-        assert diff_runs(a, b).ok
-
-    def test_wall_clock_sweep_never_flags(self):
-        a = bench_run(bench_record())
-        b_raw = bench_record()
-        b_raw["figure_sweep"]["wall_s"] = 100.0
-        assert diff_runs(a, bench_run(b_raw)).ok
-
     def test_load_p999_regression_flagged(self):
         a = load_run(synthetic_load_record(p999=1000.0))
         grown = 1000.0 * (1.0 + P999_REGRESSION_TOLERANCE) * 1.05
@@ -268,27 +250,12 @@ class TestDiffEngine:
         assert diff_runs(a, b).ok
 
     def test_figure_drift_flagged(self):
-        def panel_payload(value):
-            return {
-                "spec": {"figures": ["fig1"], "quick": True},
-                "payload": {
-                    "panels": [
-                        {
-                            "figure_id": "fig1", "title": "t", "metric": "m",
-                            "x_label": "x", "x_values": [1], "systems": ["hyper"],
-                            "cells": [{"system": "hyper", "x": 1, "value": value}],
-                        }
-                    ]
-                },
-            }
-
-        a = RunRecord(kind="figure", provenance={}, **panel_payload(100.0))
-        b = RunRecord(kind="figure", provenance={}, **panel_payload(104.0))
+        a = synthetic_figure_run(100.0)
+        b = synthetic_figure_run(104.0)
         diff = diff_runs(a, b)
         assert not diff.ok
         assert any("figure-drift" in flag for flag in diff.regressions)
-        same = RunRecord(kind="figure", provenance={}, **panel_payload(100.0))
-        assert diff_runs(a, same).identical
+        assert diff_runs(a, synthetic_figure_run(100.0)).identical
 
     def test_chaos_verdict_flip_flagged(self):
         def cells(ok, failed):
@@ -314,7 +281,7 @@ class TestDiffEngine:
         assert any("chaos-digest" in change for change in diff.regressions)
 
     def test_kind_mismatch_raises(self):
-        a = bench_run(bench_record())
+        a = synthetic_figure_run()
         b = load_run(synthetic_load_record())
         with pytest.raises(ValueError, match="cannot diff"):
             diff_runs(a, b)
@@ -355,19 +322,22 @@ class TestLoadCheckGate:
 class TestMetricHistory:
     def test_history_across_kinds(self, tmp_path):
         store = RunStore(tmp_path)
-        store.put(bench_run(bench_record(events_per_sec=1.0e6, ts="2026-08-01T00:00:00")))
-        store.put(bench_run(bench_record(events_per_sec=2.0e6, ts="2026-08-02T00:00:00")))
-        store.put(load_run(synthetic_load_record(p999=123.0)))
-        history = metric_history(store, "events_per_sec")
-        assert [value for _, value in history] == [1.0e6, 2.0e6]
-        assert metric_history(store, "p999_us")[0][1] == 123.0
-        text = render_history("events_per_sec", history)
+        store.put(load_run(synthetic_load_record(p999=1000.0, ts="2026-08-01T00:00:00")))
+        store.put(load_run(synthetic_load_record(p999=2000.0, ts="2026-08-02T00:00:00")))
+        store.put(chaos_run({"quick": True}, [], True, created="2026-08-03T00:00:00"))
+        history = metric_history(store, "p999_us")
+        assert [value for _, value in history] == [1000.0, 2000.0]
+        assert [value for _, value in metric_history(store, "chaos_ok")] == [1.0]
+        text = render_history("p999_us", history)
         assert "2 run(s)" in text and "min" in text
 
     def test_dotted_path_fallback(self):
-        record = bench_run(bench_record(txns_per_sec=777.0))
-        assert extract_metric(record, "engine.txns_per_sec") == 777.0
-        assert extract_metric(record, "engine.nope") is None
+        record = RunRecord(
+            kind=LOAD, spec={}, provenance={},
+            payload={"probe": {"capacity_tps": 777.0}},
+        )
+        assert extract_metric(record, "probe.capacity_tps") == 777.0
+        assert extract_metric(record, "probe.nope") is None
 
     def test_chaos_ok_metric(self, tmp_path):
         store = RunStore(tmp_path)
@@ -377,45 +347,21 @@ class TestMetricHistory:
         assert metric_history(store, "chaos_ok") [0][1] == 1.0
 
 
-class TestMigration:
-    def _records_dir(self, tmp_path):
-        records_dir = tmp_path / "records"
-        records_dir.mkdir()
-        (records_dir / "BENCH_2026-08-01.json").write_text(
-            json.dumps([bench_record(ts="2026-08-01T00:00:00"),
-                        bench_record(ts="2026-08-01T01:00:00")])
+class TestCommittedBaseline:
+    def test_load_check_spec_finds_committed_baseline(self):
+        """The CI load-check spec gates against a committed store run,
+        found in the store alone."""
+        spec = LoadSpec(
+            arrival=ArrivalSpec(process="burst", n_clients=100_000, n_events=120),
+            replicas=2,
+            ack="quorum",
         )
-        (records_dir / "LOAD_2026-08-01.json").write_text(
-            json.dumps([synthetic_load_record(ts="2026-08-01T02:00:00")])
-        )
-        return records_dir
-
-    def test_migrates_every_legacy_entry(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        migrated, skipped = migrate_records(self._records_dir(tmp_path), store)
-        assert len(migrated) == 3 and skipped == 0
-        assert len(store.list_runs(BENCH)) == 2
-        assert len(store.list_runs(LOAD)) == 1
-
-    def test_migration_is_idempotent(self, tmp_path):
-        records_dir = self._records_dir(tmp_path)
-        store = RunStore(tmp_path / "store")
-        migrate_records(records_dir, store)
-        migrated, skipped = migrate_records(records_dir, store)
-        assert migrated == [] and skipped == 3
-
-    def test_legacy_readers_still_work(self, tmp_path):
-        records_dir = self._records_dir(tmp_path)
-        migrate_records(records_dir, RunStore(tmp_path / "store"))
-        # The old blobs are untouched and the legacy reader still sees them.
-        assert len(read_load_records(records_dir)) == 1
-        assert (records_dir / "LOAD_2026-08-01.json").exists()
-
-    def test_committed_repo_records_migrate_cleanly(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        migrated, _ = migrate_records(REPO_ROOT / "benchmarks" / "records", store)
-        assert len(migrated) >= 2  # the repo ships BENCH and LOAD history
-        assert store.list_runs(LOAD)  # the load baseline is queryable
+        fresh = load_run(load_record(run_load(spec)))
+        store = RunStore(REPO_ROOT / "benchmarks" / "store")
+        candidates = [store.get(meta["run_id"]) for meta in store.list_runs(LOAD)]
+        baseline = find_load_baseline(fresh.spec, candidates)
+        assert baseline is not None and baseline.run_id == "load-2026-08-08-001"
+        assert check_load_regression(fresh, candidates)[1]
 
 
 class TestHttpApi:
@@ -426,7 +372,7 @@ class TestHttpApi:
         store = RunStore(tmp_path)
         a = store.put(load_run(synthetic_load_record(ts="2026-08-01T00:00:00")))
         b = store.put(load_run(synthetic_load_record(ts="2026-08-02T00:00:00")))
-        c = store.put(bench_run(bench_record()))
+        c = store.put(synthetic_figure_run(ts="2026-08-03T00:00:00"))
         server = make_server(store, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -505,17 +451,12 @@ class TestCli:
         return main(argv)
 
     def test_store_migrate_and_list(self, tmp_path, capsys):
-        records_dir = tmp_path / "records"
-        records_dir.mkdir()
-        (records_dir / "LOAD_2026-08-01.json").write_text(
-            json.dumps([synthetic_load_record()])
-        )
-        code = self._main(
-            ["store", "migrate", "--records-dir", str(records_dir),
-             "--store-dir", str(tmp_path / "store")]
-        )
-        assert code == 0
-        assert "migrated 1 legacy record(s)" in capsys.readouterr().out
+        # The store is the only record path: there is nothing to migrate.
+        with pytest.raises(SystemExit) as excinfo:
+            self._main(["store", "migrate", "--store-dir", str(tmp_path / "store")])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        RunStore(tmp_path / "store").put(load_run(synthetic_load_record()))
         code = self._main(["store", "list", "--store-dir", str(tmp_path / "store")])
         assert code == 0
         out = capsys.readouterr().out
@@ -542,7 +483,6 @@ class TestCli:
     def test_load_check_gate_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         args = ["load", "--clients", "200", "--events", "40", "--multipliers", "1",
-                "--records-dir", str(tmp_path / "recs"),
                 "--store-dir", str(tmp_path / "store")]
         # First run has nothing to gate against: loud exit 2, but the
         # run is still recorded so it becomes the next check's baseline.
@@ -550,6 +490,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert "no matching baseline" in captured.err
         assert "store: load-" in captured.out
+        # The store is the only thing a load run writes.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
         # Second identical run gates against it with zero drift.
         assert self._main(args + ["--check", "--no-save"]) == 0
         out = capsys.readouterr().out
