@@ -54,7 +54,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_jobs(jobs: int) -> int:
     if jobs == 0:
-        from repro.bench.parallel import default_jobs
+        from repro.util.fanout import default_jobs
 
         return default_jobs()
     return max(1, jobs)
@@ -249,7 +249,7 @@ def _validate_main(argv: list[str]) -> int:
     _add_jobs_argument(parser)
     args = parser.parse_args(argv)
 
-    from repro.bench.parallel import using_jobs
+    from repro.util.fanout import using_jobs
     from repro.bench.validate import render_checks, validate_all
 
     with using_jobs(_resolve_jobs(args.jobs)):
@@ -550,7 +550,7 @@ def _trace_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro import obs
-    from repro.bench.parallel import using_jobs
+    from repro.util.fanout import using_jobs
     from repro.obs.exporters import (
         validate_chrome_trace,
         write_chrome_trace,

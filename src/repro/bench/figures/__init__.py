@@ -29,7 +29,7 @@ def run_figure(figure_id: str, quick: bool = False, jobs: int | None = None):
     a process pool (see :mod:`repro.bench.parallel`); output is
     bit-identical to the serial default.
     """
-    from repro.bench.parallel import using_jobs
+    from repro.util.fanout import using_jobs
 
     with using_jobs(jobs):
         return load(figure_id).run(quick=quick)

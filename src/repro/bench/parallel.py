@@ -1,17 +1,17 @@
-"""Process-pool fan-out for experiment cells and repetitions.
+"""Experiment cells and repetitions, fanned out in seed order.
 
 The paper's methodology is embarrassingly parallel: every figure is a
 grid of independent cells (system x workload x configuration), each
-repeated with fresh seeds.  This module fans that grid out across
-cores with a :class:`~concurrent.futures.ProcessPoolExecutor` while
-keeping the results **bit-identical** to the serial path:
+repeated with fresh seeds.  :func:`run_cells` flattens that grid into
+*(cell, repetition)* tasks and hands them to
+:func:`repro.util.fanout.fan_out`, keeping the results **bit-identical**
+to the serial path:
 
-* the unit of work is one *(cell, repetition)* pair, executed by the
-  same :func:`repro.bench.runner.run_repetition` function the serial
-  path calls;
+* the unit of work is one *(cell, repetition)* pair, executed by
+  :func:`repro.bench.runner.run_repetition`;
 * each repetition's seed comes from :meth:`RunSpec.rep_seed`, so the
   seed a repetition sees does not depend on which worker runs it;
-* results are collected in submission order and folded with
+* results come back in task order and are folded with
   :func:`repro.bench.runner.aggregate_repetitions`, so floating-point
   summation order matches the serial path exactly.
 
@@ -20,28 +20,20 @@ Workloads cross process boundaries as :class:`WorkloadSpec` descriptors
 the worker — because the closures the figure modules historically used
 cannot be pickled.  A ``WorkloadSpec`` is itself callable, so it drops
 into every API that expects a zero-argument workload factory.
-
-``--jobs N`` on the CLI installs an ambient jobs setting via
-:func:`using_jobs`; code that cannot prove its tasks are picklable
-silently falls back to serial execution, never to an error.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
-from repro import obs
 from repro.bench.runner import (
     RunResult,
     RunSpec,
     aggregate_repetitions,
     run_repetition,
 )
+from repro.util.fanout import fan_out
 from repro.workloads.microbench import MicroBenchmark
 from repro.workloads.tpcb import TPCB
 from repro.workloads.tpcc import TPCC
@@ -89,104 +81,30 @@ class CellTask:
     workload: Any  # WorkloadSpec or any zero-argument factory
 
 
-# -- ambient jobs setting ----------------------------------------------------
-
-_JOBS = 1
-
-
-def default_jobs() -> int:
-    """One worker per core, the ``--jobs 0`` meaning."""
-    return os.cpu_count() or 1
-
-
-def get_jobs() -> int:
-    """The ambient fan-out width (1 = serial, the default)."""
-    return _JOBS
-
-
-@contextmanager
-def using_jobs(jobs: int | None) -> Iterator[int]:
-    """Install an ambient jobs setting for the duration of the block."""
-    global _JOBS
-    previous = _JOBS
-    _JOBS = max(1, jobs if jobs else 1)
-    try:
-        yield _JOBS
-    finally:
-        _JOBS = previous
-
-
-# -- execution ---------------------------------------------------------------
-
-
-def _run_rep(task: tuple[RunSpec, Any, int, bool]) -> RunResult:
-    """Worker entry point: one repetition of one cell.
-
-    The trailing flag carries the parent's observability state into
-    worker processes (module globals do not cross the fork/spawn);
-    events stay in the repetition's ``RunResult.obs_buffers`` either
-    way, so results are bit-identical with tracing on or off.
-    """
-    spec, workload_factory, seed, obs_on = task
-    if obs_on and not obs.enabled():
-        with obs.using_obs(True):
-            return run_repetition(spec, workload_factory, seed)
+def _run_rep(task: tuple[RunSpec, Any, int]) -> RunResult:
+    """One repetition of one cell; module-level so workers can run it."""
+    spec, workload_factory, seed = task
     return run_repetition(spec, workload_factory, seed)
-
-
-def _picklable(obj: Any) -> bool:
-    if isinstance(obj, WorkloadSpec):
-        return True
-    try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
 
 
 def run_cells(cells: Sequence[CellTask], jobs: int | None = None) -> list[RunResult]:
     """Run every cell (all repetitions) and return results in cell order.
 
-    With *jobs* > 1 the flattened *(cell, repetition)* tasks are fanned
-    out over a process pool; otherwise (or when any task is not
-    picklable) everything runs serially in this process.  Both paths
-    produce bit-identical :class:`RunResult` values.
+    The flattened *(cell, repetition)* tasks go through
+    :func:`~repro.util.fanout.fan_out`: across a process pool with
+    *jobs* > 1 (``None`` = the ambient setting) and picklable workload
+    factories, serially otherwise.  Both paths produce bit-identical
+    :class:`RunResult` values.
     """
-    n_jobs = get_jobs() if jobs is None else max(1, jobs)
-    obs_on = obs.enabled()
-    tasks: list[tuple[RunSpec, Any, int, bool]] = []
+    tasks: list[tuple[RunSpec, Any, int]] = []
     rep_slices: list[tuple[int, int]] = []
     for cell in cells:
         start = len(tasks)
         for rep in range(cell.spec.repetitions):
-            tasks.append((cell.spec, cell.workload, cell.spec.rep_seed(rep), obs_on))
+            tasks.append((cell.spec, cell.workload, cell.spec.rep_seed(rep)))
         rep_slices.append((start, len(tasks)))
-
-    parallel = (
-        n_jobs > 1
-        and len(tasks) > 1
-        and all(_picklable(cell.workload) for cell in cells)
-    )
-    if parallel:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            rep_results = list(pool.map(_run_rep, tasks, chunksize=1))
-    else:
-        rep_results = [_run_rep(task) for task in tasks]
-
+    rep_results = fan_out(_run_rep, tasks, jobs)
     return [
         aggregate_repetitions(cell.spec, rep_results[start:stop])
         for cell, (start, stop) in zip(cells, rep_slices)
     ]
-
-
-def map_repetitions(
-    spec: RunSpec, workload_factory, jobs: int | None = None
-) -> list[RunResult]:
-    """All repetitions of one cell, in seed order (parallel when asked)."""
-    n_jobs = get_jobs() if jobs is None else max(1, jobs)
-    seeds = [spec.rep_seed(rep) for rep in range(spec.repetitions)]
-    if n_jobs > 1 and len(seeds) > 1 and _picklable(workload_factory):
-        tasks = [(spec, workload_factory, seed, obs.enabled()) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            return list(pool.map(_run_rep, tasks, chunksize=1))
-    return [run_repetition(spec, workload_factory, seed) for seed in seeds]

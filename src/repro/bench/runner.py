@@ -121,11 +121,6 @@ class RunResult:
     # fingerprints — measurements are bit-identical with or without.
     obs_buffers: list = field(default_factory=list)
     obs_metrics: dict = field(default_factory=dict)
-    # RNG provenance (empty unless --sanitize): per-stream draw counts
-    # ("purpose@seed" -> draws), shipped back from worker processes so
-    # serial and --jobs N runs can be diffed stream by stream.  Like
-    # the obs payloads, excluded from result fingerprints.
-    rng_draws: dict = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -292,7 +287,6 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
         # clock) so merged traces keep per-buffer timestamp monotonicity.
         obs_buffers=[obs.drain_events(obs_mark)] if obs.enabled() else [],
         obs_metrics=obs.drain_metrics(),
-        rng_draws=sanitizer.drain_draws() if sanitizer.enabled() else {},
     )
 
 
@@ -309,7 +303,6 @@ def aggregate_repetitions(spec: RunSpec, rep_results: list[RunResult]) -> RunRes
     measured_txns = 0
     obs_buffers: list = []
     metric_snaps: list[dict] = []
-    rng_draws: dict = {}
     # The fold below is seed-order-dependent; an unordered container
     # reaching it would be a determinism bug the sanitizer flags.
     rep_results = sanitizer.checked_merge(rep_results, "aggregate_repetitions")
@@ -322,7 +315,6 @@ def aggregate_repetitions(spec: RunSpec, rep_results: list[RunResult]) -> RunRes
         obs_buffers.extend(rep_result.obs_buffers)
         if rep_result.obs_metrics:
             metric_snaps.append(rep_result.obs_metrics)
-        sanitizer.merge_draws(rng_draws, rep_result.rng_draws)
     return RunResult(
         system=spec.system,
         counters=total,
@@ -332,7 +324,6 @@ def aggregate_repetitions(spec: RunSpec, rep_results: list[RunResult]) -> RunRes
         measured_txns=measured_txns,
         obs_buffers=obs_buffers,
         obs_metrics=obs.merge_snapshots(*metric_snaps) if metric_snaps else {},
-        rng_draws=rng_draws,
     )
 
 
@@ -351,11 +342,9 @@ class ExperimentRunner:
         :mod:`repro.bench.parallel`); results are bit-identical to the
         serial path.  ``None`` means the ambient jobs setting.
         """
-        spec = self.spec
-        from repro.bench.parallel import map_repetitions
+        from repro.bench.parallel import CellTask, run_cells
 
-        rep_results = map_repetitions(spec, self.workload_factory, jobs=jobs)
-        return aggregate_repetitions(spec, rep_results)
+        return run_cells([CellTask(self.spec, self.workload_factory)], jobs)[0]
 
     # -- single repetition ----------------------------------------------------
 

@@ -73,6 +73,7 @@ from repro.storage.recovery import (
     verify_against_engine,
     write_checkpoint,
 )
+from repro.util.fanout import fan_out
 from repro.util.rng import child_rng, root_rng
 from repro.workloads.microbench import MicroBenchmark
 from repro.workloads.tpcc import TPCC
@@ -81,15 +82,28 @@ from repro.workloads.tpcc import TPCC
 # drawn uniformly from the range).  Group commits are rare (one per
 # batch) and txn bodies one per attempt; raw WAL/lock/index hits arrive
 # many per transaction, so a wider range still crashes within a few
-# transactions.
-_AT_HIT_RANGES = {
+# transactions.  The sharded harness shares these and adds its 2PC
+# points.
+AT_HIT_RANGES = {
     WAL_GROUP_COMMIT: (1, 2),
     TXN_BODY: (1, 5),
 }
-_DEFAULT_AT_HIT_RANGE = (1, 15)
+DEFAULT_AT_HIT_RANGE = (1, 15)
 # net.send fires per message (ships and acks), several per commit, so a
 # wider range still lands a network fault within the segment.
-_NET_AT_HIT_RANGE = (1, 40)
+NET_AT_HIT_RANGE = (1, 40)
+
+
+def validate_ack_and_net_kinds(ack: str, net_kinds) -> None:
+    """Reject an unknown ack mode or network fault kind (both chaos specs)."""
+    if ack not in ACK_MODES:
+        raise ValueError(f"unknown ack mode {ack!r}; known: {', '.join(ACK_MODES)}")
+    unknown = set(net_kinds or ()) - set(NETWORK_KINDS)
+    if unknown:
+        raise ValueError(
+            f"unknown network fault kind(s) {', '.join(sorted(unknown))}; "
+            f"known: {', '.join(NETWORK_KINDS)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -124,16 +138,7 @@ class ChaosSpec:
     def __post_init__(self) -> None:
         if self.replicas < 0:
             raise ValueError("replicas must be >= 0")
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
-        unknown = set(self.net_kinds or ()) - set(NETWORK_KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown network fault kind(s) {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(NETWORK_KINDS)}"
-            )
+        validate_ack_and_net_kinds(self.ack, self.net_kinds)
 
     @classmethod
     def quick(cls, system: str, **overrides) -> "ChaosSpec":
@@ -272,7 +277,7 @@ class ChaosRunner:
         schedule = []
         if armed:
             point = pool[segment % len(pool)]
-            lo, hi = _AT_HIT_RANGES.get(point, _DEFAULT_AT_HIT_RANGE)
+            lo, hi = AT_HIT_RANGES.get(point, DEFAULT_AT_HIT_RANGE)
             with sanitizer.scope("fault-schedule"):
                 at_hit = fault_rng.randint(lo, hi)
             schedule.append(FaultSpec(point, at_hit=at_hit))
@@ -289,7 +294,7 @@ class ChaosRunner:
             kinds = self.spec.net_kinds or NETWORK_KINDS
             kind = kinds[segment % len(kinds)]
             with sanitizer.scope("net"):
-                net_at_hit = net_rng.randint(*_NET_AT_HIT_RANGE)
+                net_at_hit = net_rng.randint(*NET_AT_HIT_RANGE)
             schedule.append(FaultSpec(NET_SEND, kind=kind, at_hit=net_at_hit))
         return FaultInjector(schedule, seed=self.spec.seed * 1000 + segment)
 
@@ -533,19 +538,61 @@ def default_workload_factories() -> dict:
     }
 
 
-def _run_suite_task(task: tuple[ChaosSpec, str]) -> tuple[str, bool, tuple[str, ...]]:
+def suite_cell(system: str, workload: str, seed: int, result, report: str) -> dict:
+    """One suite cell as ``repro.store`` persists it."""
+    return {
+        "system": system,
+        "workload": workload,
+        "seed": seed,
+        "ok": result.ok,
+        "failed_invariants": result.failed_invariants(),
+        "report": report,
+    }
+
+
+def run_suite(
+    task_fn, tasks: list, jobs: int, collect: list | None, clean: str, failures: str
+) -> tuple[str, bool]:
+    """The chaos suites' shared fold; returns (report text, all passed).
+
+    Fans *task_fn* (which returns a :func:`suite_cell` dict) out over
+    *tasks* in submission order, so the report is bit-identical to the
+    serial run.  Appends the cells to *collect* when it is a list, then
+    joins the reports and ends with the verdict line: *clean*, or
+    *failures* naming every violated invariant.
+    """
+    cells = fan_out(task_fn, tasks, jobs)
+    # Suite cells fold in submission order; the sanitizer flags any
+    # unordered collection sneaking into this merge point.
+    cells = sanitizer.checked_merge(cells, "chaos-suite")
+    if collect is not None:
+        collect.extend(cells)
+    lines = [cell["report"] for cell in cells]
+    all_ok = all(cell["ok"] for cell in cells)
+    if all_ok:
+        lines.append(clean)
+    else:
+        failed = sorted({name for cell in cells for name in cell["failed_invariants"]})
+        lines.append(
+            f"{failures} (see above) — failing invariants: "
+            + (", ".join(failed) if failed else "(unnamed)")
+        )
+    return "\n".join(lines), all_ok
+
+
+def _run_suite_task(task: tuple[ChaosSpec, str]) -> dict:
     """One (spec, workload name) suite cell; picklable for --jobs fan-out.
 
-    Returns the rendered report (which embeds ``ChaosResult.digest``),
-    the pass verdict, and the names of any violated invariants — the
-    full suite output is a pure function of the task, so serial and
-    parallel runs are bit-identical.
+    The rendered report embeds ``ChaosResult.digest``, so the full
+    suite output is a pure function of the task list.
     """
     from repro.bench.report import render_chaos_result  # local: report imports stats
 
     spec, workload_name = task
     result = ChaosRunner(spec, default_workload_factories()[workload_name]()).run()
-    return render_chaos_result(result), result.ok, tuple(result.failed_invariants())
+    return suite_cell(
+        spec.system, workload_name, spec.seed, result, render_chaos_result(result)
+    )
 
 
 def run_chaos_suite(
@@ -597,36 +644,7 @@ def run_chaos_suite(
             else:
                 spec = ChaosSpec(system, seed=seed, **overrides)
             tasks.append((spec, workload_name))
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_suite_task, tasks, chunksize=1))
-    else:
-        outcomes = [_run_suite_task(task) for task in tasks]
-    # Suite cells fold in submission order; the sanitizer flags any
-    # unordered collection sneaking into this merge point.
-    outcomes = sanitizer.checked_merge(outcomes, "run_chaos_suite")
-    if collect is not None:
-        for (spec, workload_name), (text, ok, failed) in zip(tasks, outcomes):
-            collect.append(
-                {
-                    "system": spec.system,
-                    "workload": workload_name,
-                    "seed": spec.seed,
-                    "ok": ok,
-                    "failed_invariants": list(failed),
-                    "report": text,
-                }
-            )
-    lines = [text for text, _, _ in outcomes]
-    all_ok = all(ok for _, ok, _ in outcomes)
-    if all_ok:
-        verdict = "all chaos runs clean"
-    else:
-        failed = sorted({name for _, _, names_ in outcomes for name in names_})
-        verdict = "CHAOS FAILURES (see above) — failing invariants: " + (
-            ", ".join(failed) if failed else "(unnamed)"
-        )
-    lines.append(verdict)
-    return "\n".join(lines), all_ok
+    return run_suite(
+        _run_suite_task, tasks, jobs, collect,
+        clean="all chaos runs clean", failures="CHAOS FAILURES",
+    )

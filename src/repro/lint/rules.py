@@ -22,7 +22,9 @@ crash schedules):
 ``random.Random(0)`` is deterministic and fine; library code must go
 through the seeded factories.  ``pool-seed`` is a heuristic (it looks
 for a seed/rng identifier anywhere in the scope that builds the worker
-tasks); the others are exact on the syntax they target.  All rules are
+tasks); in ``src/`` it guards one site, :func:`repro.util.fanout.fan_out`,
+whose contract is that every task carries its own seed.  The others
+are exact on the syntax they target.  All rules are
 pure syntax — no type inference — so a set reaching a loop through a
 variable, say, is out of reach; the runtime sanitizer covers that side.
 """

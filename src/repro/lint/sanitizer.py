@@ -18,10 +18,11 @@ merge point.  It is the dynamic half of the determinism contract:
   other stream inside the region is recorded as a **cross-stream
   draw** violation (the bug class where one stream's consumption
   silently shifts another's sequence).
-* :func:`drain_draws` / :func:`compare_draws` — per-stream draw
-  counts, shipped back from worker processes on
-  ``RunResult.rng_draws`` and merged in seed order, so a serial run
-  and a ``--jobs N`` run can be diffed stream by stream
+* :func:`take` / :func:`absorb` — a worker process's own draw counts
+  and violations (with their dedup keys), shipped home by
+  :func:`repro.util.fanout.fan_out` and re-recorded in the parent in
+  task order, so ``--jobs N`` reports exactly what the serial run
+  does; :func:`compare_draws` diffs two draw reports stream by stream
   (**draw-count divergence**).
 * :func:`checked_merge` — guards merge points: handing an unordered
   ``set``/``frozenset`` to a seed-order fold is recorded as an
@@ -45,8 +46,8 @@ MAX_VIOLATIONS = 200
 _armed = os.environ.get(ENV_VAR) == "1"
 _scopes: list[tuple[str, ...]] = []
 _draws: dict[str, int] = {}
-_violations: list[str] = []
-_violation_keys: set[tuple] = set()
+# Dedup key -> message of its first occurrence, in recording order.
+_violations: dict[tuple, str] = {}
 
 
 def enabled() -> bool:
@@ -68,7 +69,6 @@ def reset() -> None:
     """Clear draw counts, violations, and any leaked scopes."""
     _draws.clear()
     _violations.clear()
-    _violation_keys.clear()
     _scopes.clear()
 
 
@@ -98,15 +98,12 @@ def sanitizing(on: bool = True):
 
 
 def _record(key: tuple, message: str) -> None:
-    if key in _violation_keys:
-        return
-    _violation_keys.add(key)
-    if len(_violations) < MAX_VIOLATIONS:
-        _violations.append(message)
+    if key not in _violations and len(_violations) < MAX_VIOLATIONS:
+        _violations[key] = message
 
 
 def violations() -> list[str]:
-    return list(_violations)
+    return list(_violations.values())
 
 
 def ok() -> bool:
@@ -206,6 +203,24 @@ def merge_draws(into: dict[str, int], more: dict[str, int]) -> dict[str, int]:
     for key, count in more.items():
         into[key] = into.get(key, 0) + count
     return into
+
+
+def take() -> tuple[dict[str, int], tuple[tuple[tuple, str], ...]]:
+    """Snapshot-and-clear this process's draw counts and violations.
+
+    Violations come with their dedup keys, so :func:`absorb` in another
+    process deduplicates them exactly as a serial run would have.
+    """
+    violations = tuple(_violations.items())
+    _violations.clear()
+    return drain_draws(), violations
+
+
+def absorb(draws: dict[str, int], violations) -> None:
+    """Re-record a :func:`take` report from another process."""
+    merge_draws(_draws, draws)
+    for key, message in violations:
+        _record(key, message)
 
 
 def compare_draws(a: dict[str, int], b: dict[str, int]) -> list[str]:

@@ -79,6 +79,7 @@ from repro.storage.recovery import (
     verify_against_engine,
     write_checkpoint,
 )
+from repro.util.fanout import fan_out
 from repro.util.rng import child_rng
 from repro.util.timeunits import TICK_NS, ticks_to_ns, us_to_ns
 from repro.workloads.microbench import BYTES_PER_ROW, TABLE, MicroBenchmark
@@ -194,7 +195,6 @@ class LoadPointResult:
     # windows, shed/retry/breaker counters, degraded-mode verdicts —
     # deterministic, so part of equality.
     chaos: ChaosPointStats | None = None
-    rng_draws: dict = field(default_factory=dict, compare=False)
     obs_metrics: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -227,7 +227,6 @@ class LoadResult:
     capacity_tps: float
     base_rate: float
     points: tuple[LoadPointResult, ...]
-    rng_draws: dict = field(default_factory=dict, compare=False)
 
 
 # -- backends -----------------------------------------------------------------
@@ -633,7 +632,6 @@ def run_load_point(spec: LoadSpec, multiplier: float, rate: float) -> LoadPointR
         service_ns=tuple(service),
         ops=tuple(ops),
         chaos=chaos_stats,
-        rng_draws=sanitizer.drain_draws() if sanitizer.enabled() else {},
         obs_metrics=obs.drain_metrics(),
     )
 
@@ -647,34 +645,20 @@ def run_load(spec: LoadSpec, jobs: int | None = None) -> LoadResult:
     """Probe capacity, then sweep the multipliers (parallel when asked).
 
     Sweep points are independent tasks in multiplier order; with *jobs*
-    > 1 they fan out over a process pool and fold back in submission
-    order, bit-identical to the serial path (same seeds, same task
-    list, no shared state).
+    > 1 (``None`` = the ambient setting) they fan out over a process
+    pool and fold back in submission order, bit-identical to the serial
+    path (same seeds, same task list, no shared state).
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.bench.parallel import get_jobs
-
     capacity = probe_capacity(spec)
-    probe_draws = sanitizer.drain_draws() if sanitizer.enabled() else {}
     base_rate = spec.rate if spec.rate is not None else max(capacity, 1.0)
     tasks = [(spec, m, base_rate * m) for m in spec.multipliers]
-    n_jobs = get_jobs() if jobs is None else max(1, jobs)
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            points = list(pool.map(_run_point_task, tasks, chunksize=1))
-    else:
-        points = [_run_point_task(task) for task in tasks]
+    points = fan_out(_run_point_task, tasks, jobs)
     # Fold in submission (= multiplier) order; an unordered container
     # reaching this merge would be a determinism bug the sanitizer flags.
     points = sanitizer.checked_merge(points, "load-sweep")
-    rng_draws: dict = dict(probe_draws)
-    for point in points:
-        sanitizer.merge_draws(rng_draws, point.rng_draws)
     return LoadResult(
         spec=spec,
         capacity_tps=capacity,
         base_rate=base_rate,
         points=tuple(points),
-        rng_draws=rng_draws,
     )

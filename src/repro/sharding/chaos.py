@@ -54,9 +54,17 @@ from repro.faults.injector import (
     WAL_AFTER_APPEND,
     WAL_GROUP_COMMIT,
 )
+from repro.faults.chaos import (
+    AT_HIT_RANGES,
+    DEFAULT_AT_HIT_RANGE,
+    NET_AT_HIT_RANGE,
+    invariant_names,
+    run_suite,
+    suite_cell,
+    validate_ack_and_net_kinds,
+)
 from repro.faults.invariants import tpcc_invariants
 from repro.lint import sanitizer
-from repro.replication.group import ACK_MODES
 from repro.sharding.cluster import ShardSpec, ShardedCluster
 from repro.sharding.invariants import cross_shard_invariants
 from repro.storage.recovery import take_checkpoint, verify_against_engine
@@ -75,11 +83,8 @@ _CRASH_POOL = (
 _AT_HIT_RANGES = {
     TPC_COORDINATOR: (1, 4),
     TPC_PARTICIPANT: (1, 3),
-    WAL_GROUP_COMMIT: (1, 2),
-    TXN_BODY: (1, 5),
+    **AT_HIT_RANGES,
 }
-_DEFAULT_AT_HIT_RANGE = (1, 15)
-_NET_AT_HIT_RANGE = (1, 40)
 _STALL_AT_HIT_RANGE = (1, 4)
 
 
@@ -104,16 +109,7 @@ class ShardedChaosSpec:
     engine_config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
-        unknown = set(self.net_kinds or ()) - set(NETWORK_KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown network fault kind(s) {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(NETWORK_KINDS)}"
-            )
+        validate_ack_and_net_kinds(self.ack, self.net_kinds)
 
     def shard_spec(self) -> ShardSpec:
         return ShardSpec(
@@ -152,8 +148,7 @@ class ShardedChaosResult:
         return not self.problems
 
     def failed_invariants(self) -> list[str]:
-        names = {p.split(":", 1)[0] for p in self.problems if ":" in p}
-        return sorted(names)
+        return invariant_names(self.problems)
 
     def digest(self) -> int:
         """Checksum of final per-shard states + verdict bookkeeping."""
@@ -189,14 +184,14 @@ class ShardedChaosRunner:
         schedule = []
         if armed:
             point, kind = _CRASH_POOL[segment % len(_CRASH_POOL)]
-            lo, hi = _AT_HIT_RANGES.get(point, _DEFAULT_AT_HIT_RANGE)
+            lo, hi = _AT_HIT_RANGES.get(point, DEFAULT_AT_HIT_RANGE)
             with sanitizer.scope("fault-schedule"):
                 at_hit = fault_rng.randint(lo, hi)
             schedule.append(FaultSpec(point, kind=kind, at_hit=at_hit))
         kinds = self.spec.net_kinds or NETWORK_KINDS
         kind = kinds[segment % len(kinds)]
         with sanitizer.scope("net"):
-            net_at_hit = net_rng.randint(*_NET_AT_HIT_RANGE)
+            net_at_hit = net_rng.randint(*NET_AT_HIT_RANGE)
         schedule.append(FaultSpec(NET_SEND, kind=kind, at_hit=net_at_hit))
         if self.spec.stalls:
             with sanitizer.scope("stall"):
@@ -314,17 +309,15 @@ class ShardedChaosRunner:
 # -- the suite (CLI entry) ---------------------------------------------------
 
 
-def _run_sharded_task(spec: ShardedChaosSpec) -> tuple[str, bool, tuple[str, ...]]:
+def _run_sharded_task(spec: ShardedChaosSpec) -> dict:
     """One suite cell; picklable for --jobs fan-out.  The rendered
     report embeds the result digest, so serial and parallel suite runs
     are bit-identical."""
     from repro.bench.report import render_sharded_chaos_result  # local: import cycle
 
     result = ShardedChaosRunner(spec).run()
-    return (
-        render_sharded_chaos_result(result),
-        result.ok,
-        tuple(result.failed_invariants()),
+    return suite_cell(
+        spec.system, "tpcc", spec.seed, result, render_sharded_chaos_result(result)
     )
 
 
@@ -362,37 +355,11 @@ def run_sharded_chaos_suite(
         )
         for seed in seeds
     ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_sharded_task, tasks, chunksize=1))
-    else:
-        outcomes = [_run_sharded_task(task) for task in tasks]
-    outcomes = sanitizer.checked_merge(outcomes, "run_sharded_chaos_suite")
-    if collect is not None:
-        for spec, (text, ok, failed) in zip(tasks, outcomes):
-            collect.append(
-                {
-                    "system": spec.system,
-                    "workload": "tpcc",
-                    "seed": spec.seed,
-                    "ok": ok,
-                    "failed_invariants": list(failed),
-                    "report": text,
-                }
-            )
-    lines = [text for text, _, _ in outcomes]
-    all_ok = all(ok for _, ok, _ in outcomes)
-    if all_ok:
-        verdict = (
+    return run_suite(
+        _run_sharded_task, tasks, jobs, collect,
+        clean=(
             f"all {len(tasks)} sharded chaos runs clean "
             f"({n_shards} shards, {remote_pct:g}% remote, ack={ack})"
-        )
-    else:
-        failed = sorted({name for _, _, names_ in outcomes for name in names_})
-        verdict = "SHARDED CHAOS FAILURES (see above) — failing invariants: " + (
-            ", ".join(failed) if failed else "(unnamed)"
-        )
-    lines.append(verdict)
-    return "\n".join(lines), all_ok
+        ),
+        failures="SHARDED CHAOS FAILURES",
+    )

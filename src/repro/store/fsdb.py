@@ -152,11 +152,3 @@ class RunStore:
         if not meta_path.exists():
             raise KeyError(f"no run {run_id!r} in {self.root}")
         return _load(meta_path)
-
-    def has_fingerprint(self, kind: str, created: str, fp: str) -> bool:
-        """Dedup key: same kind + origin timestamp + content fingerprint
-        means the run is already here."""
-        for meta in self.list_runs(kind):
-            if meta.get("created") == created and meta.get("fingerprint") == fp:
-                return True
-        return False

@@ -21,6 +21,10 @@ initialising — can use them:
   seeded-jitter schedule shared by the replication ack loop, the 2PC
   resend loop, the engine retry loop, and the load driver's client
   retry policy.
+
+:mod:`repro.util.fanout`, the one process-pool fan-out, imports
+:mod:`repro.obs` and the sanitizer, so it is not re-exported here;
+import it by its module path.
 """
 
 from repro.util.backoff import capped_backoff, jittered_backoff

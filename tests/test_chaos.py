@@ -250,7 +250,11 @@ class TestSuiteAndCLI:
 
         monkeypatch.setattr(
             chaos_module, "_run_suite_task",
-            lambda task: ("chaos cell: FAIL", False, ("no-acked-txn-lost",)),
+            lambda task: {
+                "report": "chaos cell: FAIL",
+                "ok": False,
+                "failed_invariants": ["no-acked-txn-lost"],
+            },
         )
         text, ok = chaos_module.run_chaos_suite(
             systems=["shore-mt"], workloads=["micro"], quick=True

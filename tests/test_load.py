@@ -343,12 +343,15 @@ class TestDriver:
 
     def test_sanitized_matches_plain(self):
         spec = quick_spec()
+        sanitizer.reset()
         plain = run_load(spec)
+        assert sanitizer.snapshot_draws() == {}  # plain streams count nothing
         with sanitizer.sanitizing(True):
             sanitized = run_load(spec)
         assert render_load_report(plain) == render_load_report(sanitized)
-        assert sanitized.rng_draws  # provenance was collected
+        assert sanitizer.snapshot_draws()  # provenance was collected
         assert sanitizer.ok()
+        sanitizer.reset()
 
     def test_replicated_backend_charges_fabric_ticks(self):
         spec = quick_spec(

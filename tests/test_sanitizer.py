@@ -152,16 +152,18 @@ class TestDrawCounts:
 
         spec = replace(RunSpec(system="hyper").quick(), repetitions=2)
         with sanitizer.sanitizing():
-            serial = ExperimentRunner(spec, MICRO_1MB).run(jobs=1)
+            ExperimentRunner(spec, MICRO_1MB).run(jobs=1)
+            serial = sanitizer.snapshot_draws()
             sanitizer.reset()
-            parallel = ExperimentRunner(spec, MICRO_1MB).run(jobs=2)
-        assert serial.rng_draws
-        assert sanitizer.compare_draws(serial.rng_draws, parallel.rng_draws) == []
+            ExperimentRunner(spec, MICRO_1MB).run(jobs=2)
+            parallel = sanitizer.snapshot_draws()
+        assert serial
+        assert sanitizer.compare_draws(serial, parallel) == []
 
     def test_unsanitized_results_carry_no_draws(self):
         spec = RunSpec(system="hyper").quick()
-        result = ExperimentRunner(spec, MICRO_1MB).run(jobs=1)
-        assert result.rng_draws == {}
+        ExperimentRunner(spec, MICRO_1MB).run(jobs=1)
+        assert sanitizer.snapshot_draws() == {}
 
 
 class TestCheckedMerge:

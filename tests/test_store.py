@@ -208,16 +208,6 @@ class TestRunStore:
         with pytest.raises(KeyError, match="unknown run kind"):
             RunStore(tmp_path).list_runs("vibes")
 
-    def test_has_fingerprint_dedup_key(self, tmp_path):
-        store = RunStore(tmp_path)
-        record = load_run(synthetic_load_record())
-        store.put(record)
-        assert store.has_fingerprint(LOAD, record.created, record.fingerprint())
-        assert not store.has_fingerprint(
-            LOAD, "2030-01-01T00:00:00", record.fingerprint()
-        )
-        assert not store.has_fingerprint(FIGURE, record.created, record.fingerprint())
-
 
 class TestSameSeedFingerprints:
     def test_serial_vs_jobs_fingerprint_identically(self):
