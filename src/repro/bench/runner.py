@@ -152,10 +152,12 @@ class RunResult:
 def prewarm_llc(machine: Machine, engine) -> None:
     """Install the workload's hot data set into the shared LLC.
 
-    Regions come hottest-first from the engine; they are replayed
+    Regions come hottest-first from the engine; they are filled
     coldest-first so the hottest lines end most-recently-used.  Regions
     wider than the remaining budget are stride-sampled, approximating
-    the random residency steady state leaves behind.
+    the random residency steady state leaves behind.  The LLC installs
+    the picks set by set (:meth:`SetAssociativeCache.fill_runs`), with
+    the same result as filling them line by line.
     """
     llc = machine.hierarchy.llc
     budget = llc.spec.n_lines
@@ -167,10 +169,7 @@ def prewarm_llc(machine: Machine, engine) -> None:
         step = max(1, n_lines // take)
         picks.append((base, take, step))
         budget -= take
-    for base, take, step in reversed(picks):
-        fill = llc.fill
-        for i in range(take):
-            fill(base + i * step)
+    llc.fill_runs(reversed(picks))
 
 
 def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:

@@ -12,9 +12,15 @@ pop/re-insert implements a move-to-MRU.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from math import gcd
 
 from repro.core.spec import CacheSpec
+
+WIDE_RUN_PERIODS = 4
+"""A run of at least this many set cycles is bucketed one ``range`` per
+set rather than line by line (see :meth:`SetAssociativeCache.fill_runs`)."""
 
 
 @dataclass
@@ -90,6 +96,59 @@ class SetAssociativeCache:
             s.pop(next(iter(s)))
             self.stats.evictions += 1
         s[line_addr] = dirty
+
+    def fill_runs(self, runs: Iterable[tuple[int, int, int]]) -> None:
+        """Install clean lines from ``(base, count, step)`` runs, in order.
+
+        Contract: the cache ends exactly as if :meth:`fill` were called
+        on ``base + i*step`` for ``i in range(count)``, run by run — the
+        same keys in the same per-set LRU order, the same dirty flags and
+        the same :class:`CacheStats`.  Steps must be at least 1.
+
+        Sets are independent, so the lines are bucketed by set (keeping
+        fill order) and each set is built once.  A set that is empty
+        beforehand, when no two runs overlap, ends holding just its last
+        ``assoc`` lines; the lines before them were evictions.  Occupied
+        sets, and every set when runs overlap (a line filled twice moves
+        to MRU), take :meth:`fill` line by line.
+        """
+        n = self.n_sets
+        assoc = self.assoc
+        sets = self._sets
+        stats = self.stats
+        buckets: list[list[int]] = [[] for _ in range(n)]
+        spans = []
+        for base, count, step in runs:
+            if count <= 0:
+                continue
+            if step < 1:
+                raise ValueError(f"run step must be >= 1, got {step}")
+            stop = base + count * step
+            spans.append((base, stop - step))
+            # Lines i and i + period of a run share a set; within one
+            # period every line lands in a different set.
+            period = n // gcd(step, n)
+            if count >= WIDE_RUN_PERIODS * period:
+                stride = step * period
+                for first in range(base, base + period * step, step):
+                    buckets[first % n].extend(range(first, stop, stride))
+            else:
+                for line in range(base, stop, step):
+                    buckets[line % n].append(line)
+        spans.sort()
+        disjoint = all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+        fill = self.fill
+        for index, lines in enumerate(buckets):
+            if not lines:
+                continue
+            if disjoint and not sets[index]:
+                if len(lines) > assoc:
+                    stats.evictions += len(lines) - assoc
+                    lines = lines[-assoc:]
+                sets[index] = dict.fromkeys(lines, False)
+            else:
+                for line in lines:
+                    fill(line)
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (coherence); return True if it was present."""

@@ -341,10 +341,14 @@ class _ReplicatedBackend(_PlainBackend):
         self.workload = MicroBenchmark(db_bytes=spec.n_rows * BYTES_PER_ROW)
         self.n_rows = self.workload.n_rows
         self.spec = spec
+        # The group keeps the factory for failovers; closing over self
+        # would make a backend -> group -> factory -> backend cycle that
+        # keeps every finished point's warmed Machine alive until a GC.
+        workload = self.workload
 
         def factory():
             engine = make_engine(spec.system, EngineConfig(materialize_threshold=0))
-            self.workload.setup(engine)
+            workload.setup(engine)
             log = engine.recovery_log()
             if log is None:
                 raise ValueError(

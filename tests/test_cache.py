@@ -73,6 +73,17 @@ class TestLRU:
             c.fill(line)
         assert c.resident_lines() == 2
 
+    def test_fill_runs_keeps_last_lines_and_counts_evictions(self):
+        c = small_cache(n_sets=2, assoc=2)
+        c.fill_runs([(0, 5, 1), (100, 2, 3)])  # lines 0..4, then 100, 103
+        assert [list(s) for s in c._sets] == [[4, 100], [3, 103]]
+        assert c.stats.evictions == 3
+        assert c.stats.accesses == 0
+
+    def test_fill_runs_rejects_nonpositive_step(self):
+        with pytest.raises(ValueError, match="step"):
+            small_cache().fill_runs([(0, 4, 0)])
+
 
 class TestWritesAndInvalidation:
     def test_write_marks_dirty_and_hits(self):

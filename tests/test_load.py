@@ -9,12 +9,14 @@ negative, and offered load beyond capacity must saturate instead of
 reporting impossible throughput.
 """
 
+import gc
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.report import render_latency_percentiles
+from repro.core.machine import Machine
 from repro.lint import sanitizer
 from repro.load import (
     ARRIVAL_PROCESSES,
@@ -382,6 +384,33 @@ class TestDriver:
 
     def test_capacity_probe_deterministic(self):
         assert probe_capacity(quick_spec()) == probe_capacity(quick_spec())
+
+    @pytest.mark.parametrize("backend", ["plain", "replicated", "sharded"])
+    def test_finished_points_free_their_machines(self, backend):
+        """A finished sweep point's backend must die by reference count.
+
+        Each backend owns a Machine with a warmed 16,384-set LLC; one
+        kept alive by a reference cycle lingers until a full GC pass,
+        so a sweep's memory would grow with every point.
+        """
+        extra = {"plain": {}, "replicated": {"replicas": 2}, "sharded": {"shards": 2}}
+        spec = quick_spec(
+            arrival=ArrivalSpec(n_clients=200, n_events=20),
+            multipliers=(0.5, 1.0),
+            **extra[backend],
+        )
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, Machine)}
+        gc.disable()
+        try:
+            run_load(spec, jobs=1)
+            leaked = [
+                o for o in gc.get_objects()
+                if isinstance(o, Machine) and id(o) not in before
+            ]
+        finally:
+            gc.enable()
+        assert leaked == []
 
 
 class TestLoadReport:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.figures.common import TPC_DB_BYTES, engine_config_for
 from repro.bench.runner import (
     ExperimentRunner,
     MIN_MEASURED_TXNS,
@@ -12,11 +13,12 @@ from repro.bench.runner import (
 from repro.core.machine import Machine
 from repro.engines.base import UserAbort
 from repro.engines.config import EngineConfig
-from repro.engines.registry import make_engine
+from repro.engines.registry import ALL_SYSTEMS, make_engine
 from repro.engines.common import TableSpec
 from repro.storage.record import microbench_schema
-from repro.workloads.base import Workload
+from repro.workloads.base import PAPER_DB_SIZES, Workload
 from repro.workloads.microbench import MicroBenchmark
+from repro.workloads.tpcc import TPCC
 
 
 def micro_factory():
@@ -26,6 +28,27 @@ def micro_factory():
 def tiny_spec(system="hyper", **kw) -> RunSpec:
     base = RunSpec(system=system, **kw).quick()
     return base
+
+
+def prewarm_line_by_line(machine: Machine, engine) -> None:
+    """The reference prewarm: the same picks, one ``fill`` per line."""
+    llc = machine.hierarchy.llc
+    budget = llc.spec.n_lines
+    picks = []
+    for base, n_lines in engine.hot_regions():
+        if budget <= 0:
+            break
+        take = min(n_lines, budget)
+        picks.append((base, take, max(1, n_lines // take)))
+        budget -= take
+    for base, take, step in reversed(picks):
+        for i in range(take):
+            llc.fill(base + i * step)
+
+
+def llc_state(machine: Machine):
+    llc = machine.hierarchy.llc
+    return [list(s.items()) for s in llc._sets], llc.stats
 
 
 class TestRunSpec:
@@ -59,6 +82,25 @@ class TestPrewarm:
         index = engine.table("t").index
         root_region = index._level_regions[0]
         assert machine.hierarchy.llc.contains(root_region.base_line)
+
+    @pytest.mark.parametrize("workload", ["micro-10GB", "tpcc"])
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_matches_per_line_fill(self, system, workload):
+        """``prewarm_llc`` installs exactly what the per-line fill loop
+        did — same per-set LRU order, dirty flags and stats — on a fresh
+        LLC and again when re-prewarming the warm one (the load driver's
+        crash and failover path)."""
+        kind = "micro" if workload == "micro-10GB" else "tpcc"
+        engine = make_engine(system, engine_config_for(system, kind))
+        if kind == "micro":
+            MicroBenchmark(db_bytes=PAPER_DB_SIZES["10GB"]).setup(engine)
+        else:
+            TPCC(db_bytes=TPC_DB_BYTES).setup(engine)
+        fast, reference = Machine(), Machine()
+        for _ in range(2):
+            prewarm_llc(fast, engine)
+            prewarm_line_by_line(reference, engine)
+            assert llc_state(fast) == llc_state(reference)
 
 
 class TestRun:
