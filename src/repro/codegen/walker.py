@@ -10,7 +10,10 @@ Because a given transaction type takes the same code path every time,
 the same (module, slice) pair produces the same lines on every call —
 that is what gives repeated transactions their instruction locality,
 and what lets large footprints overflow the L1I exactly as the paper
-describes.
+describes.  It is also what lets the walker compute each segment's lines
+and instruction accounting once and replay them from a memo on every
+later call; only the fractional branch and mispredict carries change
+from call to call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ class CodeWalker:
         self.layout = layout
         self._branch_carry = 0.0
         self._mispredict_carry = 0.0
+        # (mod_id, start_frac, end_frac) -> (first_line, n_lines,
+        # instructions, raw branches, mispredict rate, base cycles).
+        # Exact because the layout is append-only and modules are frozen.
+        self._segments: dict[tuple, tuple] = {}
 
     # -- execution primitives ------------------------------------------------
 
@@ -40,18 +47,22 @@ class CodeWalker:
         self, trace: AccessTrace, mod_id: int, start_frac: float, end_frac: float
     ) -> int:
         """Execute the [start_frac, end_frac) slice of the module once."""
-        if not 0.0 <= start_frac <= end_frac <= 1.0:
-            raise ValueError(f"invalid segment [{start_frac}, {end_frac})")
-        module = self.layout.module(mod_id)
-        total_lines = module.footprint_lines
-        first = int(start_frac * total_lines)
-        last = max(first + 1, int(round(end_frac * total_lines)))
-        n_lines = min(last, total_lines) - first
+        key = (mod_id, start_frac, end_frac)
+        segment = self._segments.get(key)
+        if segment is None:
+            segment = self._segments[key] = self._segment(mod_id, start_frac, end_frac)
+        first_line, n_lines, instructions, branches_raw, mispredict_rate, base_cycles = segment
         if n_lines <= 0:
             return 0
-        base = self.layout.base_line(mod_id)
-        trace.ifetch_run(base + first, n_lines, mod_id)
-        return self._retire(trace, mod_id, n_lines)
+        trace.ifetch_run(first_line, n_lines, mod_id)
+        branches_f = branches_raw + self._branch_carry
+        branches = int(branches_f)
+        self._branch_carry = branches_f - branches
+        mispredicts_f = branches * mispredict_rate + self._mispredict_carry
+        mispredicts = int(mispredicts_f)
+        self._mispredict_carry = mispredicts_f - mispredicts
+        trace.retire(mod_id, instructions, branches, mispredicts, base_cycles=base_cycles)
+        return instructions
 
     def loop(
         self,
@@ -75,17 +86,24 @@ class CodeWalker:
 
     # -- internal --------------------------------------------------------------
 
-    def _retire(self, trace: AccessTrace, mod_id: int, n_lines: int) -> int:
+    def _segment(self, mod_id: int, start_frac: float, end_frac: float) -> tuple:
+        """The carry-free facts of one segment (validated, so an invalid
+        segment never reaches the memo and raises on every call)."""
+        if not 0.0 <= start_frac <= end_frac <= 1.0:
+            raise ValueError(f"invalid segment [{start_frac}, {end_frac})")
         module = self.layout.module(mod_id)
+        total_lines = module.footprint_lines
+        first = int(start_frac * total_lines)
+        last = max(first + 1, int(round(end_frac * total_lines)))
+        n_lines = min(last, total_lines) - first
+        if n_lines <= 0:
+            return (0, 0, 0, 0.0, 0.0, 0.0)
         instructions = module.instructions_for_lines(n_lines)
-        branches_f = instructions * module.branches_per_kilo_instruction / 1000.0 + self._branch_carry
-        branches = int(branches_f)
-        self._branch_carry = branches_f - branches
-        mispredicts_f = branches * module.mispredict_rate + self._mispredict_carry
-        mispredicts = int(mispredicts_f)
-        self._mispredict_carry = mispredicts_f - mispredicts
-        trace.retire(
-            mod_id, instructions, branches, mispredicts,
-            base_cycles=instructions * module.base_cpi,
+        return (
+            self.layout.base_line(mod_id) + first,
+            n_lines,
+            instructions,
+            instructions * module.branches_per_kilo_instruction / 1000.0,
+            module.mispredict_rate,
+            instructions * module.base_cpi,
         )
-        return instructions

@@ -93,6 +93,29 @@ class AccessTrace:
         self.addrs.append(line_addr)
         self.mods.append(module)
 
+    def load_lines(
+        self, lines, module: int, *, serial: bool = False, head_serial: bool = False
+    ) -> None:
+        """Load each of *lines* in order, one event per line, in one go.
+
+        With *serial* every line is a ``DLOAD_SERIAL`` (a pointer chase
+        through an index, each address depending on the last load).
+        With *head_serial* only the first line is (a row whose address
+        came from a just-completed probe); the rest are ``DLOAD``.
+        """
+        n_lines = len(lines)
+        if not n_lines:
+            return
+        if serial:
+            self.kinds.extend([DLOAD_SERIAL] * n_lines)
+        elif head_serial:
+            self.kinds.append(DLOAD_SERIAL)
+            self.kinds.extend([DLOAD] * (n_lines - 1))
+        else:
+            self.kinds.extend([DLOAD] * n_lines)
+        self.addrs.extend(lines)
+        self.mods.extend([module] * n_lines)
+
     def load_run(self, start_line: int, n_lines: int, module: int) -> None:
         """Load *n_lines* consecutive data lines (e.g. a scan or big-node search)."""
         self.kinds.extend([DLOAD] * n_lines)

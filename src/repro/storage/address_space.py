@@ -39,7 +39,7 @@ class Region:
 
     def line(self, byte_offset: int) -> int:
         """Line address containing *byte_offset* within the region."""
-        if byte_offset < 0 or byte_offset >= self.size_bytes:
+        if byte_offset < 0 or byte_offset >= self.n_lines * CACHE_LINE_BYTES:
             raise ValueError(
                 f"offset {byte_offset} outside region {self.name!r} ({self.size_bytes} bytes)"
             )

@@ -37,8 +37,9 @@ class HeapTable:
         self.name = name
         self.schema = schema
         self.n_rows = n_rows
+        self.row_bytes = schema.row_bytes
         # 8-byte slot alignment, the usual tuple layout.
-        self.slot_bytes = -(-schema.row_bytes // 8) * 8
+        self.slot_bytes = -(-self.row_bytes // 8) * 8
         if capacity_rows is None:
             capacity_rows = max(n_rows + (1 << 20), n_rows * 2, 1 << 20)
         self.capacity_rows = capacity_rows
@@ -52,7 +53,7 @@ class HeapTable:
 
     def row_lines(self, row_id: int) -> range:
         """Cache lines covering row *row_id*'s slot."""
-        return self.region.lines_for(self.row_offset(row_id), self.schema.row_bytes)
+        return self.region.lines_for(row_id * self.slot_bytes, self.row_bytes)
 
     @property
     def data_bytes(self) -> int:
@@ -77,14 +78,10 @@ class HeapTable:
         came from a just-completed index probe)."""
         self._check(row_id)
         if trace is not None:
-            lines = self.row_lines(row_id)
             # First line is on the dependence chain; the adjacent-line
             # prefetcher covers the immediate neighbour, so only every
             # second line of a wide row is a demand access.
-            first = True
-            for line in lines[::2]:
-                trace.load(line, mod, serial=serial and first)
-                first = False
+            trace.load_lines(self.row_lines(row_id)[::2], mod, head_serial=serial)
         row = self._materialized.get(row_id)
         return row if row is not None else self.schema.default_row(row_id)
 
@@ -149,7 +146,7 @@ class HeapTable:
         if trace is not None and end > start_row:
             first_line = self.region.line(self.row_offset(start_row))
             last_line = self.region.line(
-                self.row_offset(end - 1) + self.schema.row_bytes - 1
+                self.row_offset(end - 1) + self.row_bytes - 1
             )
             trace.load_run(first_line, last_line - first_line + 1, mod)
         return [self.read(rid) for rid in range(start_row, end)]

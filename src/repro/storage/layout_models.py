@@ -74,7 +74,12 @@ class AnalyticIndexBase:
             return key / self.n_keys
         return _mix64(stable_hash(key)) / 2**64
 
-    # Subclasses provide: probe/insert/delete/emission.
+    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
+        """One dependent load per probed line (pointer chasing)."""
+        if trace is not None:
+            trace.load_lines(self.probe_lines(key), mod, serial=True)
+
+    # Subclasses provide: probe_lines/probe/insert/delete.
 
 
 class AnalyticBTree(AnalyticIndexBase):
@@ -139,12 +144,6 @@ class AnalyticBTree(AnalyticIndexBase):
                     seen.add(line)
                     lines.append(line)
         return lines
-
-    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
-        if trace is None:
-            return
-        for line in self.probe_lines(key):
-            trace.load(line, mod, serial=True)
 
     # -- operations ------------------------------------------------------------------
 
@@ -241,6 +240,15 @@ class AnalyticART(AnalyticIndexBase):
             for i, (n, nb) in enumerate(zip(counts, self.level_node_bytes))
         ]
         self._leaf_region = space.region(f"aart:{name}:leaves", n_keys * self.LEAF_BYTES)
+        # Per-level probe geometry, fixed at construction:
+        # (node count, node bytes, region base line, region bytes, key shift).
+        self._levels = tuple(
+            (count, node_bytes, region.base_line, region.size_bytes,
+             8 * (self.inner_levels - 1 - level))
+            for level, (count, node_bytes, region) in enumerate(
+                zip(counts, self.level_node_bytes, self._level_regions)
+            )
+        )
 
     @classmethod
     def _node_bytes_for(cls, fanout: int) -> int:
@@ -253,25 +261,24 @@ class AnalyticART(AnalyticIndexBase):
         frac = self._rank(key)
         key_scaled = int(frac * self.n_keys)
         lines: list[int] = []
-        for level, (count, node_bytes, region) in enumerate(
-            zip(self.level_node_counts, self.level_node_bytes, self._level_regions)
+        for level, (count, node_bytes, base_line, region_bytes, shift) in enumerate(
+            self._levels
         ):
             # Pointer-tagged descent: one load per node, at the child
             # slot for large nodes (header is in the same line for the
             # small kinds).
             node_idx = min(count - 1, int(frac * count))
-            byte = (key_scaled >> (8 * (self.inner_levels - 1 - level))) & 0xFF
-            slot_off = min(16 + byte * 8, node_bytes - 8)
-            lines.append(region.line(node_idx * node_bytes + slot_off))
+            byte = (key_scaled >> shift) & 0xFF
+            offset = node_idx * node_bytes + min(16 + byte * 8, node_bytes - 8)
+            if not 0 <= offset < region_bytes:
+                raise ValueError(
+                    f"offset {offset} outside region "
+                    f"{self._level_regions[level].name!r} ({region_bytes} bytes)"
+                )
+            lines.append(base_line + offset // CACHE_LINE_BYTES)
         leaf_idx = min(self.n_keys - 1, key_scaled)
         lines.append(self._leaf_region.line(leaf_idx * self.LEAF_BYTES))
         return lines
-
-    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
-        if trace is None:
-            return
-        for line in self.probe_lines(key):
-            trace.load(line, mod, serial=True)
 
     def probe(self, key, trace: AccessTrace | None = None, mod: int = 0):
         self._emit_probe(key, trace, mod)
@@ -366,12 +373,6 @@ class AnalyticHash(AnalyticIndexBase):
             entry_idx = _mix64(stable_hash(key) + i * 0x5851F42D) % max(1, self.n_keys)
             lines.append(self._entry_region.line(entry_idx * self.ENTRY_BYTES))
         return lines
-
-    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
-        if trace is None:
-            return
-        for line in self.probe_lines(key):
-            trace.load(line, mod, serial=True)
 
     def probe(self, key, trace: AccessTrace | None = None, mod: int = 0):
         self._emit_probe(key, trace, mod)

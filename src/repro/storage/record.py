@@ -10,6 +10,10 @@ fetched line more than narrow ones — the Figure 15 effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+_LONG_MIX = 0x9E3779B97F4A7C15
+_LONG_MASK = 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,7 @@ class ColumnType:
     def default_value(self, seed: int):
         """Deterministic value for an unmaterialised row (see HeapTable)."""
         if self.name == "long":
-            return (seed * 0x9E3779B97F4A7C15) & 0x7FFFFFFFFFFFFFFF
+            return (seed * _LONG_MIX) & _LONG_MASK
         text = f"v{seed:x}"
         return (text * (self.byte_size // len(text) + 1))[: self.byte_size]
 
@@ -56,13 +60,22 @@ class Schema:
     columns: tuple[tuple[str, ColumnType], ...]
     header_bytes: int = 8
 
-    @property
+    # Derived geometry is computed once per instance: the fields are
+    # frozen, and ``dataclasses.replace`` builds a fresh instance.
+    @cached_property
     def payload_bytes(self) -> int:
         return sum(ct.byte_size for _, ct in self.columns)
 
-    @property
+    @cached_property
     def row_bytes(self) -> int:
         return self.header_bytes + self.payload_bytes
+
+    @cached_property
+    def _long_seed_terms(self) -> tuple[int, ...] | None:
+        """``i * _LONG_MIX`` per column when every column is a long, else None."""
+        if all(ct.name == "long" for _, ct in self.columns):
+            return tuple(i * _LONG_MIX for i in range(len(self.columns)))
+        return None
 
     @property
     def n_columns(self) -> int:
@@ -76,6 +89,12 @@ class Schema:
 
     def default_row(self, row_id: int) -> tuple:
         """Deterministic contents of an unmaterialised row."""
+        terms = self._long_seed_terms
+        if terms is not None:
+            # Long default_value inlined (every TPC-C table takes this
+            # path): (row_id*31 + i) * _LONG_MIX, distributed.
+            base = row_id * 31 * _LONG_MIX
+            return tuple([(base + term) & _LONG_MASK for term in terms])
         return tuple(
             ct.default_value(row_id * 31 + i) for i, (_, ct) in enumerate(self.columns)
         )

@@ -1,5 +1,7 @@
 """Code-module, layout, walker and compiler tests."""
 
+import random
+
 import pytest
 
 from repro.codegen.compiler import (
@@ -145,6 +147,119 @@ class TestCodeWalker:
         t = AccessTrace()
         walker.run(t, mod_id, 1.0)
         assert t.base_cycles == pytest.approx(t.instructions * 0.5)
+
+
+class UnmemoizedWalker:
+    """``CodeWalker.run_segment`` recomputing every fact on every call:
+    the reference the memoized walker must match bit for bit."""
+
+    def __init__(self, layout):
+        self.layout = layout
+        self._branch_carry = 0.0
+        self._mispredict_carry = 0.0
+
+    def run_segment(self, trace, mod_id, start_frac, end_frac):
+        if not 0.0 <= start_frac <= end_frac <= 1.0:
+            raise ValueError(f"invalid segment [{start_frac}, {end_frac})")
+        module = self.layout.module(mod_id)
+        total_lines = module.footprint_lines
+        first = int(start_frac * total_lines)
+        last = max(first + 1, int(round(end_frac * total_lines)))
+        n_lines = min(last, total_lines) - first
+        if n_lines <= 0:
+            return 0
+        trace.ifetch_run(self.layout.base_line(mod_id) + first, n_lines, mod_id)
+        instructions = module.instructions_for_lines(n_lines)
+        branches_f = (
+            instructions * module.branches_per_kilo_instruction / 1000.0 + self._branch_carry
+        )
+        branches = int(branches_f)
+        self._branch_carry = branches_f - branches
+        mispredicts_f = branches * module.mispredict_rate + self._mispredict_carry
+        mispredicts = int(mispredicts_f)
+        self._mispredict_carry = mispredicts_f - mispredicts
+        trace.retire(
+            mod_id, instructions, branches, mispredicts,
+            base_cycles=instructions * module.base_cpi,
+        )
+        return instructions
+
+
+def trace_state(trace):
+    return (
+        trace.kinds, trace.addrs, trace.mods, trace.instr_by_module,
+        trace.base_by_module, trace.branches, trace.mispredicts, len(trace),
+    )
+
+
+class TestWalkerMemo:
+    """The segment memo replays exactly what recomputation produces."""
+
+    def layout(self):
+        layout = CodeLayout()
+        layout.add(module("a", kb=64, branches_per_kilo_instruction=137,
+                          mispredict_rate=0.31, base_cpi=0.7))
+        layout.add(module("b", kb=3, instructions_per_line=9.5,
+                          branches_per_kilo_instruction=211, mispredict_rate=0.07))
+        layout.add(module("c", kb=200, branches_per_kilo_instruction=45,
+                          mispredict_rate=0.5, base_cpi=1.3))
+        return layout
+
+    def test_long_random_sequence_matches_unmemoized_walker(self):
+        rng = random.Random(15)
+        fracs = [0.0, 0.01, 0.06, 0.12, 0.3, 0.52, 0.88, 0.9, 1.0]
+        # A small pool so segments repeat, sharing (mod, start) across
+        # several ends and (mod, end) across several starts.
+        pool = [
+            (mod_id, start, end)
+            for mod_id in range(3)
+            for start in fracs
+            for end in fracs
+            if start <= end
+        ]
+        layout = self.layout()
+        fast, slow = CodeWalker(layout), UnmemoizedWalker(layout)
+        t_fast, t_slow = AccessTrace(), AccessTrace()
+        for step in range(3000):
+            segment = rng.choice(pool)
+            assert fast.run_segment(t_fast, *segment) == slow.run_segment(t_slow, *segment)
+            assert fast._branch_carry == slow._branch_carry
+            assert fast._mispredict_carry == slow._mispredict_carry
+            if step % 97 == 0:
+                t_fast.clear()
+                t_slow.clear()
+        assert trace_state(t_fast) == trace_state(t_slow)
+        assert len(fast._segments) <= len(pool)  # one entry per distinct segment
+
+    def test_loop_matches_unmemoized_walker(self):
+        layout = self.layout()
+        fast, slow = CodeWalker(layout), UnmemoizedWalker(layout)
+        t_fast, t_slow = AccessTrace(), AccessTrace()
+        fast.loop(t_fast, 1, 0.06, 0.52, iterations=40)
+        for _ in range(40):
+            slow.run_segment(t_slow, 1, 0.06, 0.52)
+        assert trace_state(t_fast) == trace_state(t_slow)
+
+    def test_module_added_after_first_walk(self):
+        layout = self.layout()
+        fast, slow = CodeWalker(layout), UnmemoizedWalker(layout)
+        t_fast, t_slow = AccessTrace(), AccessTrace()
+        for walker, t in ((fast, t_fast), (slow, t_slow)):
+            walker.run_segment(t, 0, 0.0, 0.5)
+        mod_id = layout.add(module("late", kb=16, branches_per_kilo_instruction=90))
+        for walker, t in ((fast, t_fast), (slow, t_slow)):
+            walker.run_segment(t, mod_id, 0.0, 0.5)
+            walker.run_segment(t, 0, 0.0, 0.5)
+        assert trace_state(t_fast) == trace_state(t_slow)
+
+    def test_invalid_segment_raises_on_every_call(self):
+        walker = CodeWalker(self.layout())
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                walker.run_segment(AccessTrace(), 0, 0.5, 0.4)
+            with pytest.raises(IndexError):
+                walker.run_segment(AccessTrace(), 9, 0.0, 0.5)
+        assert walker._segments == {}
 
 
 class TestCompiler:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.trace import AccessTrace, DLOAD_SERIAL, DSTORE
 from repro.storage.heap import HeapTable
-from repro.storage.record import LONG, STRING50, microbench_schema
+from repro.storage.record import LONG, STRING50, microbench_schema, string_type
 
 
 @pytest.fixture
@@ -104,6 +104,22 @@ class TestTraceEmission:
         trace.clear()
         wide.read(1, trace)  # straddles three lines -> two demand loads
         assert len(trace) <= 2
+
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_read_matches_per_line_loads(self, space, serial):
+        """Only the first demand line of a row is serial, and only when asked."""
+        wide = HeapTable("w", microbench_schema(string_type(200)), 100, space)
+        for row_id in range(12):
+            batched, per_line = AccessTrace(), AccessTrace()
+            wide.read(row_id, batched, mod=3, serial=serial)
+            first = True
+            for line in wide.row_lines(row_id)[::2]:
+                per_line.load(line, 3, serial=serial and first)
+                first = False
+            assert len(per_line) >= 2
+            assert (batched.kinds, batched.addrs, batched.mods) == (
+                per_line.kinds, per_line.addrs, per_line.mods
+            )
 
     def test_write_emits_stores(self, heap, trace):
         heap.write(4, (1, 2), trace)

@@ -117,6 +117,47 @@ class TestAnalyticART:
         assert [v for _, v in idx.range_scan(7, 4)] == [7, 8, 9, 10]
 
 
+def per_level_art_lines(idx: AnalyticART, key) -> list[int]:
+    """``AnalyticART.probe_lines`` through each level's ``Region.line``,
+    recomputing the geometry per probe: the reference for the
+    precomputed level table."""
+    frac = idx._rank(key)
+    key_scaled = int(frac * idx.n_keys)
+    lines = []
+    for level, (count, node_bytes, region) in enumerate(
+        zip(idx.level_node_counts, idx.level_node_bytes, idx._level_regions)
+    ):
+        node_idx = min(count - 1, int(frac * count))
+        byte = (key_scaled >> (8 * (idx.inner_levels - 1 - level))) & 0xFF
+        slot_off = min(16 + byte * 8, node_bytes - 8)
+        lines.append(region.line(node_idx * node_bytes + slot_off))
+    leaf_idx = min(idx.n_keys - 1, key_scaled)
+    lines.append(idx._leaf_region.line(leaf_idx * idx.LEAF_BYTES))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_keys=st.integers(1, BILLION),
+    keys=st.lists(
+        st.one_of(st.integers(-10, BILLION + 10), st.text(max_size=6)), max_size=8
+    ),
+)
+def test_art_probe_lines_match_per_level_region_path(n_keys, keys):
+    idx = AnalyticART("x", DataAddressSpace(), n_keys=n_keys)
+    dense = [n_keys - 1, n_keys // 2, n_keys // 3, (n_keys * 7) // 11]
+    for key in keys + dense:
+        assert idx.probe_lines(key) == per_level_art_lines(idx, key)
+
+
+def test_art_probe_keeps_level_bounds_check():
+    idx = AnalyticART("x", DataAddressSpace(), n_keys=70_000)
+    count, node_bytes, base_line, _, shift = idx._levels[1]
+    idx._levels = (idx._levels[0], (count, node_bytes, base_line, 64, shift), idx._levels[2])
+    with pytest.raises(ValueError, match="outside region"):
+        idx.probe_lines(69_999)
+
+
 class TestAnalyticHash:
     def make(self, n=BILLION):
         return AnalyticHash("h", DataAddressSpace(), n_keys=n, key_to_value=identity_within(n))

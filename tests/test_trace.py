@@ -43,6 +43,21 @@ class TestAppending:
         trace.load(6, 0, serial=True)
         assert trace.kinds == [DLOAD, DLOAD_SERIAL]
 
+    def test_load_lines_matches_per_line_loads(self):
+        lines_cases = [[], [7], [7, 3], list(range(40, 50, 2)), range(100, 105)]
+        for lines in lines_cases:
+            for serial, head_serial in ((False, False), (True, False), (False, True)):
+                batched, per_line = AccessTrace(), AccessTrace()
+                batched.store(1, 0)
+                per_line.store(1, 0)
+                batched.load_lines(lines, 4, serial=serial, head_serial=head_serial)
+                for i, line in enumerate(lines):
+                    per_line.load(line, 4, serial=serial or (head_serial and i == 0))
+                assert batched.kinds == per_line.kinds
+                assert batched.addrs == per_line.addrs
+                assert batched.mods == per_line.mods
+                assert len(batched) == len(per_line)
+
     def test_store_and_runs(self, trace):
         trace.store(1, 0)
         trace.load_run(10, 3, 0)
