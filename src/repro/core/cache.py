@@ -37,6 +37,13 @@ class CacheStats:
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
+    def add(self, accesses: int, misses: int, evictions: int) -> None:
+        """Count a batch of *accesses* lookups, *misses* of which missed."""
+        self.accesses += accesses
+        self.hits += accesses - misses
+        self.misses += misses
+        self.evictions += evictions
+
     def reset(self) -> None:
         self.accesses = 0
         self.hits = 0

@@ -7,8 +7,12 @@ producing an :class:`~repro.core.trace.AccessTrace`, and hand it to
 :meth:`Machine.run_trace`; cache state persists across transactions so
 the replay reaches the same steady state a long profiled run would.
 
-The replay loop is the hot path of the whole reproduction — it is
-written with local-variable bindings and minimal indirection on purpose.
+:meth:`Machine.run_trace` is the replay kernel and the hot path of the
+whole reproduction: one loop over the trace probes the set dicts of the
+caches and the dTLB directly, with no call per access, and batches the
+counters per trace.  It must match the per-access reference model,
+:meth:`~repro.core.hierarchy.MemoryHierarchy.access_instr` and
+``access_data``, exactly (``tests/test_replay_kernel.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from repro import obs
 from repro.core.counters import PerfCounters
 from repro.core.cpu import DEFAULT_OVERLAP, CycleModel, OverlapModel
-from repro.core.hierarchy import L1, L2, MEMORY, MemoryHierarchy
+from repro.core.hierarchy import MemoryHierarchy
 from repro.core.spec import IVY_BRIDGE, ServerSpec
 from repro.core.trace import AccessTrace, DLOAD_SERIAL, DSTORE, IFETCH, IFETCH_RUN
 
@@ -78,6 +82,27 @@ class Machine:
         represents: 0 for an attempt that did not commit (its events
         still hit the caches — wasted work is real work — but it must
         not inflate per-transaction metrics).
+
+        This is the replay kernel: one loop probes the set dicts of the
+        core's L1I, L1D and L2, the shared LLC and both dTLB arrays
+        directly, and adds the cache and dTLB counters once per trace.
+        It is exact: caches (keys, per-set LRU order, dirty flags),
+        dTLBs, coherence state, module rows and the returned counters
+        end as if every line went through
+        :meth:`MemoryHierarchy.access_instr` / ``access_data`` (an
+        ``IFETCH_RUN`` line by line), which stay the reference model.
+        The per-access path fills the upper levels after a miss, but
+        ``lookup`` allocates on a miss with the dirty flag ``write``, so
+        each of those fills finds its line resident, already MRU, with
+        the flag the fill would leave: a no-op, which the kernel drops.
+        Counters are only read between traces, so adding them once per
+        trace gives the same values as adding them per access.
+
+        The L1I set slices hold set dicts, and
+        :meth:`SetAssociativeCache.fill_runs` replaces set dicts, so the
+        slices are built on every call and never kept.  Coherence stays
+        in the same loop behind ``coherent``; snoops and write
+        invalidations go through the hierarchy's methods.
         """
         # Observability fast path: one null-check here, one complete()
         # below — no context-manager frame in the replay loop.
@@ -85,18 +110,34 @@ class Machine:
         _t0 = _tracer.clock() if _tracer is not None else 0
 
         hierarchy = self.hierarchy
-        access_instr = hierarchy.access_instr
-        access_instr_run = hierarchy.access_instr_run
-        access_data = hierarchy.access_data
         module_stats = self.module_stats
+        core = hierarchy.cores[core_id]
+        l1i, l1d, l2, llc = core.l1i, core.l1d, core.l2, hierarchy.llc
+        i1_sets, i1_n, i1_a = l1i._sets, l1i.n_sets, l1i.assoc
+        d1_sets, d1_n, d1_a = l1d._sets, l1d.n_sets, l1d.assoc
+        l2_sets, l2_n, l2_a = l2._sets, l2.n_sets, l2.assoc
+        l3_sets, l3_n, l3_a = llc._sets, llc.n_sets, llc.assoc
+        # Two L1I set cycles: a run starting in the first cycle takes its
+        # sets as one slice while it fits; longer runs slice a longer copy.
+        i1_ring = i1_sets * 2
+        i1_ring_len = len(i1_ring)
+        tlb = hierarchy.tlbs[core_id]
+        t1_sets, t1_n, t1_a = tlb._l1._sets, tlb._l1.n_sets, tlb._l1.assoc
+        t2_sets, t2_n, t2_a = tlb._stlb._sets, tlb._stlb.n_sets, tlb._stlb.assoc
+        page_shift = tlb._page_shift
+        coherent = hierarchy.n_cores > 1
+        modified_by = hierarchy._modified_by
 
         if_l1m = if_l2m = if_llcm = 0
         d_l1m = d_l2m = d_llcm = d_serial_llcm = 0
-        n_if = n_loads = n_stores = n_coher = 0
-        walks_before = hierarchy.tlbs[core_id].walks
+        n_if = n_data = n_stores = n_coher = 0
+        i1_ev = d1_ev = l2_ev = l3_ev = 0
+        t1_misses = walks = 0
 
         # Module-row lookup hoisted behind a last-module cache: traces
         # are long single-module spans, so most events reuse `row`.
+        # Evictions take a full set's LRU key with `for victim in s:
+        # break`, which skips the two builtin calls of next(iter(s)).
         last_mod = -1
         row: list[int] | None = None
         for kind, addr, mod in zip(trace.kinds, trace.addrs, trace.mods):
@@ -108,51 +149,142 @@ class Machine:
                 last_mod = mod
             if kind == IFETCH_RUN:
                 start, n_lines = addr
-                l1m, l2m, llcm = access_instr_run(core_id, start, n_lines)
-                n_if += n_lines
-                row[M_IFETCHES] += n_lines
+            elif kind == IFETCH:
+                start = addr
+                n_lines = 1
+            else:
+                # -- data line: dTLB, snoop, L1D -> L2 -> LLC ------------
+                write = kind == DSTORE
+                n_data += 1
+                n_stores += write
+                row[M_DACCESSES] += 1
+                # dTLB entries hold None: pop returns the default 0 on a miss.
+                page = addr >> page_shift
+                s = t1_sets[page % t1_n]
+                if s.pop(page, 0) is not None:
+                    t1_misses += 1
+                    if len(s) >= t1_a:
+                        for victim in s:
+                            break
+                        del s[victim]
+                    t = t2_sets[page % t2_n]
+                    if t.pop(page, 0) is not None:
+                        walks += 1
+                        if len(t) >= t2_a:
+                            for victim in t:
+                                break
+                            del t[victim]
+                    t[page] = None
+                s[page] = None
+                if coherent:
+                    owner = modified_by.get(addr)
+                    if owner is not None and owner != core_id:
+                        hierarchy.snoop(core_id, addr, owner)
+                        n_coher += 1
+                        row[M_COHER] += 1
+                s = d1_sets[addr % d1_n]
+                d = s.pop(addr, None)
+                if d is None:
+                    d_l1m += 1
+                    row[M_D_L1M] += 1
+                    if len(s) >= d1_a:
+                        for victim in s:
+                            break
+                        del s[victim]
+                        d1_ev += 1
+                    s[addr] = write
+                    s = l2_sets[addr % l2_n]
+                    d = s.pop(addr, None)
+                    if d is None:
+                        d_l2m += 1
+                        row[M_D_L2M] += 1
+                        if len(s) >= l2_a:
+                            for victim in s:
+                                break
+                            del s[victim]
+                            l2_ev += 1
+                        s[addr] = write
+                        s = l3_sets[addr % l3_n]
+                        d = s.pop(addr, None)
+                        if d is None:
+                            d_llcm += 1
+                            row[M_D_LLCM] += 1
+                            if kind == DLOAD_SERIAL:
+                                d_serial_llcm += 1
+                                row[M_D_SERIAL_LLCM] += 1
+                            if len(s) >= l3_a:
+                                for victim in s:
+                                    break
+                                del s[victim]
+                                l3_ev += 1
+                            d = write
+                # The level that served the line (or the LLC, newly
+                # allocated) takes it back as MRU, dirtied by a store.
+                s[addr] = d or write
+                if coherent and write:
+                    hierarchy.invalidate_others(core_id, addr)
+                continue
+
+            # -- instruction lines start .. start + n_lines - 1 ----------
+            first = start % i1_n
+            stop = first + n_lines
+            if stop <= i1_ring_len:
+                run_sets = i1_ring[first:stop]
+            else:
+                run_sets = (i1_sets * (stop // i1_n + 1))[first:stop]
+            l1m = l2m = llcm = 0
+            line = start - 1
+            for s in run_sets:
+                line += 1
+                d = s.pop(line, None)
+                if d is None:
+                    l1m += 1
+                    if len(s) >= i1_a:
+                        for victim in s:
+                            break
+                        del s[victim]
+                        i1_ev += 1
+                    s[line] = False
+                    s = l2_sets[line % l2_n]
+                    d = s.pop(line, None)
+                    if d is None:
+                        l2m += 1
+                        if len(s) >= l2_a:
+                            for victim in s:
+                                break
+                            del s[victim]
+                            l2_ev += 1
+                        s[line] = False
+                        s = l3_sets[line % l3_n]
+                        d = s.pop(line, None)
+                        if d is None:
+                            llcm += 1
+                            if len(s) >= l3_a:
+                                for victim in s:
+                                    break
+                                del s[victim]
+                                l3_ev += 1
+                            d = False
+                # The serving level (or the LLC, newly allocated) takes
+                # the line back as MRU.
+                s[line] = d
+            n_if += n_lines
+            row[M_IFETCHES] += n_lines
+            if l1m:
                 if_l1m += l1m
                 row[M_IF_L1M] += l1m
                 if_l2m += l2m
                 row[M_IF_L2M] += l2m
                 if_llcm += llcm
                 row[M_IF_LLCM] += llcm
-            elif kind == IFETCH:
-                n_if += 1
-                row[M_IFETCHES] += 1
-                level = access_instr(core_id, addr)
-                if level != L1:
-                    if_l1m += 1
-                    row[M_IF_L1M] += 1
-                    if level != L2:
-                        if_l2m += 1
-                        row[M_IF_L2M] += 1
-                        if level == MEMORY:
-                            if_llcm += 1
-                            row[M_IF_LLCM] += 1
-            else:
-                write = kind == DSTORE
-                if write:
-                    n_stores += 1
-                else:
-                    n_loads += 1
-                row[M_DACCESSES] += 1
-                level, transfer = access_data(core_id, addr, write)
-                if transfer:
-                    n_coher += 1
-                    row[M_COHER] += 1
-                if level != L1:
-                    d_l1m += 1
-                    row[M_D_L1M] += 1
-                    if level != L2:
-                        d_l2m += 1
-                        row[M_D_L2M] += 1
-                        if level == MEMORY:
-                            d_llcm += 1
-                            row[M_D_LLCM] += 1
-                            if kind == DLOAD_SERIAL:
-                                d_serial_llcm += 1
-                                row[M_D_SERIAL_LLCM] += 1
+
+        l1i.stats.add(n_if, if_l1m, i1_ev)
+        l1d.stats.add(n_data, d_l1m, d1_ev)
+        l2.stats.add(if_l1m + d_l1m, if_l2m + d_l2m, l2_ev)
+        llc.stats.add(if_l2m + d_l2m, if_llcm + d_llcm, l3_ev)
+        tlb.accesses += n_data
+        tlb.l1_misses += t1_misses
+        tlb.walks += walks
 
         delta = PerfCounters(
             instructions=trace.instructions,
@@ -160,7 +292,7 @@ class Machine:
             mispredicts=trace.mispredicts,
             transactions=transactions,
             ifetches=n_if,
-            loads=n_loads,
+            loads=n_data - n_stores,
             stores=n_stores,
             l1i_misses=if_l1m,
             l2i_misses=if_l2m,
@@ -170,7 +302,7 @@ class Machine:
             llcd_misses=d_llcm,
             llcd_serial_misses=d_serial_llcm,
             coherence_misses=n_coher,
-            dtlb_walks=hierarchy.tlbs[core_id].walks - walks_before,
+            dtlb_walks=walks,
         )
         delta.cycles = self.cycle_model.cycles(delta, trace.base_cycles)
         for mod, instrs in trace.instr_by_module.items():

@@ -13,6 +13,10 @@ string-keyed lock resources (``LockManager.release_all``), so their
 traces change with the hash seed.  CI runs this file under two hash
 seeds so a pin that starts to depend on string hashing fails there.
 
+The 4-core VoltDB TPC-C cell (a quick cell of Figures 17 and 19) pins
+the multi-core path: its replay snoops and invalidates across cores
+(16 coherence transfers), which no single-core cell does.
+
 A change meant to alter simulated output updates these pins (and the
 benchmark's) in the same change and says why.
 """
@@ -22,7 +26,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.figures.common import TPC_DB_BYTES, cell_spec, engine_config_for
+from repro.bench.figures.common import (
+    MULTITHREADED_CORES,
+    TPC_DB_BYTES,
+    cell_spec,
+    engine_config_for,
+)
 from repro.bench.parallel import workload_spec
 from repro.bench.runner import ExperimentRunner
 from repro.store import fingerprint
@@ -39,6 +48,15 @@ GOLDEN = {
     ("fig10", "voltdb", "TPC-C"): "3e9e1279b89c87c3",
     ("fig10", "dbms-m", "TPC-C"): "7db4cb215a3d49bf",
 }
+GOLDEN_MULTICORE_VOLTDB_TPCC = "169d0adec54f9033"
+
+
+def digest(result) -> str:
+    return fingerprint({
+        "counters": dataclasses.asdict(result.counters),
+        "module_cycles": result.module_cycles,
+        "measured_txns": result.measured_txns,
+    })
 
 
 def cell_digest(figure: str, system: str, x: str) -> str:
@@ -54,12 +72,7 @@ def cell_digest(figure: str, system: str, x: str) -> str:
         )
     else:
         workload = workload_spec("tpcc", db_bytes=TPC_DB_BYTES)
-    result = ExperimentRunner(spec, workload).run(jobs=1)
-    return fingerprint({
-        "counters": dataclasses.asdict(result.counters),
-        "module_cycles": result.module_cycles,
-        "measured_txns": result.measured_txns,
-    })
+    return digest(ExperimentRunner(spec, workload).run(jobs=1))
 
 
 @pytest.mark.parametrize(
@@ -67,3 +80,18 @@ def cell_digest(figure: str, system: str, x: str) -> str:
 )
 def test_quick_cell_matches_golden_digest(figure, system, x):
     assert cell_digest(figure, system, x) == GOLDEN[(figure, system, x)]
+
+
+def test_multicore_cell_matches_golden_digest():
+    spec = replace(
+        cell_spec(
+            "voltdb",
+            quick=True,
+            engine_config=engine_config_for("voltdb", "tpcc"),
+            n_cores=MULTITHREADED_CORES,
+        ),
+        seed=SEED,
+    )
+    result = ExperimentRunner(spec, workload_spec("tpcc", db_bytes=TPC_DB_BYTES)).run(jobs=1)
+    assert result.counters.coherence_misses == 16
+    assert digest(result) == GOLDEN_MULTICORE_VOLTDB_TPCC

@@ -135,7 +135,8 @@ class TestMultiCore:
 class TestBatchedIfetchRuns:
     """The IFETCH_RUN fast path must be bit-identical to per-line replay."""
 
-    def test_batched_run_matches_expanded_ifetches(self):
+    @pytest.mark.parametrize("n_cores", [1, 2], ids=["1-core", "2-cores"])
+    def test_batched_run_matches_expanded_ifetches(self, n_cores):
         import random
 
         from repro.core.machine import Machine as FullMachine
@@ -158,15 +159,20 @@ class TestBatchedIfetchRuns:
             t.retire(0, 1000, branches=10, mispredicts=2, base_cycles=400)
         assert len(batched) == len(expanded)
 
-        m1, m2 = FullMachine(n_cores=2), FullMachine(n_cores=2)
-        d1 = m1.run_trace(batched, core_id=1)
-        d2 = m2.run_trace(expanded, core_id=1)
+        core_id = n_cores - 1
+        m1, m2 = FullMachine(n_cores=n_cores), FullMachine(n_cores=n_cores)
+        d1 = m1.run_trace(batched, core_id=core_id)
+        d2 = m2.run_trace(expanded, core_id=core_id)
         assert d1.as_dict() == d2.as_dict()
         assert m1.module_stats == m2.module_stats
+
+        def ordered(cache):
+            # Dict equality ignores order; LRU order is the dict order.
+            return [list(s.items()) for s in cache._sets]
+
         for c1, c2 in zip(m1.hierarchy.cores, m2.hierarchy.cores):
-            assert c1.l1i._sets == c2.l1i._sets
-            assert c1.l2._sets == c2.l2._sets
-        assert m1.hierarchy.llc._sets == m2.hierarchy.llc._sets
-        assert m1.hierarchy.cores[1].l1i.stats == m2.hierarchy.cores[1].l1i.stats
-        assert m1.hierarchy.cores[1].l2.stats == m2.hierarchy.cores[1].l2.stats
+            for level in ("l1i", "l1d", "l2"):
+                assert ordered(getattr(c1, level)) == ordered(getattr(c2, level))
+                assert getattr(c1, level).stats == getattr(c2, level).stats
+        assert ordered(m1.hierarchy.llc) == ordered(m2.hierarchy.llc)
         assert m1.hierarchy.llc.stats == m2.hierarchy.llc.stats
